@@ -1,10 +1,10 @@
 """Variance-aware arm-elimination bandits with baselines, a deterministic
 replication harness, regret-bound calculators, and lemma verifiers."""
 
-from .env import ArmModel, Environment, derive_run_stream, make_environment, sample_reward
-from .rng import RngStream, StreamBatch
-from .simulator import AggregateCurve, RunTrace, run_many, run_once
-from .stats import ArmStats, PullStats, UndefinedEstimateError
+from .env import ArmModel, Environment, make_environment, sample_rewards_batch
+from .rng import RngStream, StreamBatch, derive_run_stream
+from .simulator import AggregateCurve, run_batch, run_many
+from .stats import PullStats
 
 __version__ = "0.1.0"
 
@@ -12,16 +12,13 @@ __all__ = [
     "ArmModel",
     "Environment",
     "make_environment",
-    "sample_reward",
+    "sample_rewards_batch",
     "derive_run_stream",
     "RngStream",
     "StreamBatch",
-    "ArmStats",
     "PullStats",
-    "UndefinedEstimateError",
-    "RunTrace",
     "AggregateCurve",
-    "run_once",
+    "run_batch",
     "run_many",
     "__version__",
 ]

@@ -12,6 +12,7 @@ stderr_regret; rows ordered by policy id then checkpoint) and one summary CSV
 (policy,final_mean_regret,final_stderr; rows ordered by final mean regret)
 per experiment.  Output bytes are fully determined by the config and flags:
 floats use 9 significant digits, and no timestamps or host data appear.
+Every CSV is written whole or not at all (temporary file, then rename).
 
 Exit codes: 0 success, 2 usage/parse error, 3 validation error, 4 runtime
 error.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -52,10 +54,18 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    """Write the CSV to a temporary file beside ``path``, then rename it into
+    place, so ``path`` is never left truncated."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(row) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cmd_run(spec: ExperimentSpec, out_dir: Path, threads: int = 1) -> list:

@@ -1,19 +1,20 @@
 """Arm reward models and bandit environments.
 
 Arms are Bernoulli or Gaussian with known means, so the simulator can account
-pseudo-regret exactly.  Gaussian samples are deliberately NOT clipped to
-[0, 1] even though the algorithms' analyses assume bounded rewards: the
-Gaussian experiment testbeds run the algorithms on unbounded samples, and
-clipping would shift every mean.
+pseudo-regret exactly; an environment holds arms of a single kind.  Gaussian
+samples are deliberately NOT clipped to [0, 1] even though the algorithms'
+analyses assume bounded rewards: the Gaussian experiment testbeds run the
+algorithms on unbounded samples, and clipping would shift every mean.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import DOMAIN_REWARDS, RngStream, StreamBatch, derive_key
+from .rng import StreamBatch
 
 BERNOULLI = "bernoulli"
 GAUSSIAN = "gaussian"
@@ -31,6 +32,10 @@ class ArmModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown arm kind {self.kind!r}")
+        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
+            raise ValueError(
+                f"arm mean and variance must be finite, got {self.mean}, {self.variance}"
+            )
         if self.kind == BERNOULLI:
             if not 0.0 <= self.mean <= 1.0:
                 raise ValueError(f"Bernoulli mean must be in [0, 1], got {self.mean}")
@@ -53,13 +58,14 @@ class ArmModel:
 
 @dataclass(frozen=True)
 class Environment:
-    """An ordered set of arms with gap accounting.
+    """An ordered set of arms of one ``kind`` with gap accounting.
 
     ``optimal_index`` is the lowest index attaining the maximal mean; all
     co-maximal arms have gap exactly 0.  Immutable and safe to share.
     """
 
     arms: tuple
+    kind: str
     means: np.ndarray = field(repr=False)
     variances: np.ndarray = field(repr=False)
     gaps: np.ndarray = field(repr=False)
@@ -73,9 +79,10 @@ class Environment:
 def make_environment(spec) -> Environment:
     """Build an Environment from ArmModels or (kind, mean[, variance]) tuples.
 
-    Rejects K < 2, Bernoulli means outside [0, 1], and negative variances.
-    For Bernoulli entries a supplied variance must equal mean*(1-mean); pass
-    None (or omit it) to have it derived.
+    Rejects K < 2, arms of more than one kind, non-finite values, Bernoulli
+    means outside [0, 1], and negative variances.  For Bernoulli entries a
+    supplied variance must equal mean*(1-mean); pass None (or omit it) to
+    have it derived.
     """
     arms = []
     for entry in spec:
@@ -92,52 +99,22 @@ def make_environment(spec) -> Environment:
             arms.append(ArmModel(kind, float(mean), float(variance)))
     if len(arms) < 2:
         raise ValueError(f"an environment needs at least 2 arms, got {len(arms)}")
+    kinds = {a.kind for a in arms}
+    if len(kinds) > 1:
+        raise ValueError(f"an environment holds one arm kind, got {sorted(kinds)}")
     means = np.array([a.mean for a in arms], dtype=np.float64)
     variances = np.array([a.variance for a in arms], dtype=np.float64)
     optimal = int(np.argmax(means))  # ties resolve to the lowest index
     gaps = means[optimal] - means
-    return Environment(tuple(arms), means, variances, gaps, optimal)
-
-
-def sample_reward(arm: ArmModel, rng: RngStream) -> float:
-    """Draw one reward.  Bernoulli consumes 1 uniform, Gaussian exactly 2."""
-    if arm.kind == BERNOULLI:
-        return rng.bernoulli(arm.mean)
-    return arm.mean + np.sqrt(arm.variance) * rng.normal()
-
-
-def derive_run_stream(master_seed: int, run_index: int,
-                      domain: int = DOMAIN_REWARDS) -> RngStream:
-    """Reward stream for replication ``run_index`` under ``master_seed``.
-
-    A fixed hash of (master_seed, run_index): the same pair always yields the
-    same stream, regardless of how many runs an experiment requests.
-    """
-    return RngStream(derive_key(master_seed, run_index, domain))
+    return Environment(tuple(arms), arms[0].kind, means, variances, gaps, optimal)
 
 
 def sample_rewards_batch(env: Environment, arms: np.ndarray,
                          streams: StreamBatch) -> np.ndarray:
-    """One reward per lane for the chosen arms, consuming each lane's stream
-    exactly as :func:`sample_reward` would."""
-    kinds = {a.kind for a in env.arms}
-    if kinds == {BERNOULLI}:
+    """One reward per lane for the chosen arms.  A Bernoulli draw consumes
+    one uniform of the lane's stream, a Gaussian draw exactly two."""
+    if env.kind == BERNOULLI:
         u = streams.uniform_each()
         return (u < env.means[arms]).astype(np.float64)
-    if kinds == {GAUSSIAN}:
-        z = streams.normal_each()
-        return env.means[arms] + np.sqrt(env.variances[arms]) * z
-    # Mixed-kind environment: lane draw counts differ by arm kind.
-    rewards = np.empty(arms.shape[0], dtype=np.float64)
-    is_bern = np.array([a.kind == BERNOULLI for a in env.arms])[arms]
-    lanes_b = np.nonzero(is_bern)[0]
-    lanes_g = np.nonzero(~is_bern)[0]
-    if lanes_b.size:
-        u = streams.uniform_lanes(lanes_b)
-        rewards[lanes_b] = (u < env.means[arms[lanes_b]]).astype(np.float64)
-    if lanes_g.size:
-        u1 = streams.uniform_lanes(lanes_g)
-        u2 = streams.uniform_lanes(lanes_g)
-        z = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
-        rewards[lanes_g] = env.means[arms[lanes_g]] + np.sqrt(env.variances[arms[lanes_g]]) * z
-    return rewards
+    z = streams.normal_each()
+    return env.means[arms] + np.sqrt(env.variances[arms]) * z

@@ -1,4 +1,4 @@
-"""Policy registry and the scalar index dispatcher.
+"""Policy registry.
 
 Registered policy ids: eucbv, ucb1, ucbv, moss, ocucb, klucb-plus, ts-beta,
 ts-gauss, bayes-ucb, dmed, ucb-improved, median-elim.
@@ -6,26 +6,16 @@ ts-gauss, bayes-ucb, dmed, ucb-improved, median-elim.
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-from scipy.special import betaincinv, ndtri
-
-from ..rng import RngStream, StreamBatch
-from ..stats import ArmStats, UndefinedEstimateError
-from .base import BatchPolicy, LoopBatch, SingleRunAdapter
-from .bayes import BayesUcbPolicy, TsBetaPolicy, TsGaussPolicy
+from .base import BatchPolicy
+from .bayes import BayesUcbPolicy, TsBetaPolicy, TsGaussPolicy, bayes_ucb_index
 from .eucbv import (
     EucbvPolicy,
     EucbvState,
     confidence_radius,
     eucbv_advance_round,
-    eucbv_confidence,
     eucbv_eliminate,
     eucbv_init,
     eucbv_select,
-    eucbv_step,
-    record_init_pull,
 )
 from .indexes import (
     MossPolicy,
@@ -38,9 +28,9 @@ from .indexes import (
     ucbv_index,
 )
 from .kl import KlUcbPlusPolicy, kl_bernoulli, klucb_index
-from .rounds import DmedBatchPolicy, DmedPolicy, MedianElimPolicy, UcbImprovedPolicy
+from .rounds import DmedBatchPolicy, MedianElimPolicy, UcbImprovedPolicy
 
-_BATCHED = {
+_POLICIES = {
     "eucbv": EucbvPolicy,
     "ucb1": Ucb1Policy,
     "ucbv": UcbvPolicy,
@@ -51,14 +41,11 @@ _BATCHED = {
     "ts-gauss": TsGaussPolicy,
     "bayes-ucb": BayesUcbPolicy,
     "dmed": DmedBatchPolicy,
-}
-
-_SCALAR = {
     "ucb-improved": UcbImprovedPolicy,
     "median-elim": MedianElimPolicy,
 }
 
-POLICY_IDS = tuple(sorted((*_BATCHED, *_SCALAR)))
+POLICY_IDS = tuple(sorted(_POLICIES))
 
 # Per-policy constructor parameters accepted from configs.
 PARAM_SPECS = {
@@ -89,106 +76,27 @@ def make_batch_policy(policy_id: str, n_runs: int, n_arms: int, horizon: int,
                       params: dict | None = None, rng=None):
     """Instantiate a batched policy (one independent lane per run)."""
     params = validate_params(policy_id, params or {})
-    if policy_id in _BATCHED:
-        return _BATCHED[policy_id](n_runs, n_arms, horizon, rng=rng, **params)
-    cls = _SCALAR[policy_id]
-    return LoopBatch([cls(n_arms, horizon, **params) for _ in range(n_runs)])
-
-
-def make_policy(policy_id: str, n_arms: int, horizon: int,
-                params: dict | None = None, rng=None):
-    """Instantiate a single-run policy satisfying the sequential contract."""
-    params = validate_params(policy_id, params or {})
-    if policy_id in _SCALAR:
-        return _SCALAR[policy_id](n_arms, horizon, **params)
-    batch = _BATCHED[policy_id](1, n_arms, horizon, rng=rng, **params)
-    return SingleRunAdapter(batch)
-
-
-def baseline_index(policy_kind: str, stats: ArmStats, t: int, horizon: int,
-                   n_arms: int, params: dict | None = None) -> float:
-    """Scalar index of one arm under a baseline index policy.
-
-    Randomized kinds (ts-beta, ts-gauss) return a posterior sample and need
-    ``params["rng"]``.  Round-structured policies (dmed, ucb-improved,
-    median-elim) have no per-arm index and are rejected.
-    """
-    params = dict(params or {})
-    if policy_kind in _SCALAR:
-        raise ValueError(f"{policy_kind!r} is round-structured and has no arm index")
-    if policy_kind in ("ts-beta", "ts-gauss") and "rng" not in params:
-        raise ValueError(f"{policy_kind!r} needs params['rng'] to sample")
-    if stats.pulls == 0 and policy_kind not in ("ts-beta", "ts-gauss"):
-        raise UndefinedEstimateError(f"{policy_kind!r} index undefined before the first pull")
-    if policy_kind == "ucb1":
-        return float(ucb1_index(stats.mean(), stats.pulls, t))
-    if policy_kind == "ucbv":
-        return float(ucbv_index(stats.mean(), stats.variance(), stats.pulls, t))
-    if policy_kind == "moss":
-        return float(moss_index(stats.mean(), stats.pulls, horizon, n_arms))
-    if policy_kind == "ocucb":
-        return float(ocucb_index(stats.mean(), stats.pulls, horizon,
-                                 params.get("alpha", 3.0), params.get("psi", 2.0)))
-    if policy_kind == "klucb-plus":
-        return float(klucb_index(stats.mean(), stats.pulls, t))
-    if policy_kind == "bayes-ucb":
-        level = 1.0 - 1.0 / (t * math.log(horizon))
-        if params.get("prior", "beta") == "gauss":
-            precision = 1.0 + stats.pulls
-            return float(stats.reward_sum / precision + ndtri(level) / math.sqrt(precision))
-        s = min(max(stats.reward_sum, 0.0), float(stats.pulls))
-        return float(betaincinv(s + 1.0, stats.pulls - s + 1.0, level))
-    if policy_kind == "ts-beta":
-        lane, orig = _as_lane(params["rng"])
-        s = min(max(stats.reward_sum, 0.0), float(stats.pulls))
-        sample = lane.beta_block(np.array([[s + 1.0]]), np.array([[stats.pulls - s + 1.0]]))
-        if orig is not None:
-            orig.counter = int(lane.counters[0])
-        return float(sample[0, 0])
-    if policy_kind == "ts-gauss":
-        lane, orig = _as_lane(params["rng"])
-        precision = 1.0 + stats.pulls
-        z = float(lane.normal_block(1)[0, 0])
-        if orig is not None:
-            orig.counter = int(lane.counters[0])
-        return float(stats.reward_sum / precision + z / math.sqrt(precision))
-    raise ValueError(f"unknown policy id {policy_kind!r}")
-
-
-def _as_lane(rng):
-    """View an RngStream as a one-lane StreamBatch (returns the original for
-    counter write-back), or pass a StreamBatch through."""
-    if isinstance(rng, StreamBatch):
-        return rng, None
-    lane = StreamBatch(np.array([rng.key], dtype=np.uint64))
-    lane.counters[0] = rng.counter
-    return lane, rng
+    return _POLICIES[policy_id](n_runs, n_arms, horizon, rng=rng, **params)
 
 
 __all__ = [
     "POLICY_IDS",
     "RANDOMIZED",
     "BatchPolicy",
-    "LoopBatch",
-    "SingleRunAdapter",
     "EucbvPolicy",
     "EucbvState",
     "confidence_radius",
     "eucbv_init",
-    "eucbv_confidence",
     "eucbv_select",
     "eucbv_eliminate",
     "eucbv_advance_round",
-    "eucbv_step",
-    "record_init_pull",
     "ucb1_index",
     "ucbv_index",
     "moss_index",
     "ocucb_index",
+    "bayes_ucb_index",
     "kl_bernoulli",
     "klucb_index",
-    "baseline_index",
-    "make_policy",
     "make_batch_policy",
     "validate_params",
 ]

@@ -1,10 +1,10 @@
-"""Sequential policy contracts.
+"""Sequential policy contract.
 
 A policy sees timesteps t = 1..T.  For t <= K every policy pulls arm t-1
 (the initialization pulls, which count toward all statistics); from t = K+1
-it selects according to its rule.  Batched classes run one independent policy
-instance per lane; lane r's trajectory is identical to running that lane
-alone because no computation couples lanes.
+it selects according to its rule.  Every policy is a lockstep batch of
+independent lanes, one per run; lane r's trajectory is identical to running
+that lane alone (a one-lane batch) because no computation couples lanes.
 """
 
 from __future__ import annotations
@@ -55,64 +55,3 @@ class BatchPolicy:
 
     def _after_update(self, t: int, arms: np.ndarray, rewards: np.ndarray) -> None:
         pass
-
-
-class LoopBatch:
-    """Batch adapter over per-run scalar policies (for queue/round-robin
-    policies whose per-step work is O(1) and control flow diverges by run)."""
-
-    def __init__(self, members):
-        self.members = list(members)
-        self.n_runs = len(self.members)
-        self.n_arms = self.members[0].n_arms
-        self.policy_id = self.members[0].policy_id
-
-    def select(self, t: int) -> np.ndarray:
-        return np.fromiter(
-            (m.select(t) for m in self.members), dtype=np.int64, count=self.n_runs
-        )
-
-    def update(self, arms: np.ndarray, rewards: np.ndarray) -> None:
-        rlist = rewards.tolist()
-        for m, a, r in zip(self.members, arms.tolist(), rlist):
-            m.update(a, r)
-
-    def survivors(self) -> np.ndarray:
-        out = np.full(self.n_runs, -1, dtype=np.int64)
-        for i, m in enumerate(self.members):
-            s = m.survivor()
-            if s is not None:
-                out[i] = s
-        return out
-
-    def pull_counts(self) -> np.ndarray:
-        return np.stack([m.pull_counts() for m in self.members])
-
-
-class SingleRunAdapter:
-    """Scalar select/update view over a one-lane batch policy.
-
-    Satisfies the single-run policy contract: init happens at construction,
-    then exactly T select/update pairs.
-    """
-
-    def __init__(self, batch_policy):
-        if batch_policy.n_runs != 1:
-            raise ValueError("SingleRunAdapter requires a one-lane policy")
-        self._p = batch_policy
-        self.policy_id = batch_policy.policy_id
-        self.n_arms = batch_policy.n_arms
-
-    def select(self, t: int) -> int:
-        return int(self._p.select(t)[0])
-
-    def update(self, arm: int, reward: float) -> None:
-        self._p.update(np.array([arm], dtype=np.int64),
-                       np.array([reward], dtype=np.float64))
-
-    def survivor(self):
-        s = int(self._p.survivors()[0])
-        return None if s < 0 else s
-
-    def pull_counts(self) -> np.ndarray:
-        return self._p.pull_counts()[0]

@@ -22,6 +22,18 @@ from scipy.special import betaincinv, ndtri
 from .base import BatchPolicy
 
 
+def bayes_ucb_index(reward_sum, pulls, t, horizon, prior="beta"):
+    """Posterior quantile at level 1 - 1/(t ln T); scalar or array inputs.
+
+    For prior "beta" ``reward_sum`` is the clamped-reward (success) count.
+    """
+    level = 1.0 - 1.0 / (t * math.log(horizon))
+    if prior == "beta":
+        return betaincinv(reward_sum + 1.0, pulls - reward_sum + 1.0, level)
+    precision = 1.0 + pulls
+    return reward_sum / precision + ndtri(level) / np.sqrt(precision)
+
+
 class TsBetaPolicy(BatchPolicy):
     policy_id = "ts-beta"
 
@@ -72,19 +84,12 @@ class BayesUcbPolicy(BatchPolicy):
         if prior not in ("beta", "gauss"):
             raise ValueError(f"bayes-ucb prior must be 'beta' or 'gauss', got {prior!r}")
         self.prior = prior
-        self._log_horizon = math.log(horizon)
         if prior == "beta":
             self.successes = np.zeros((n_runs, n_arms), dtype=np.float64)
 
     def _select(self, t):
-        level = 1.0 - 1.0 / (t * self._log_horizon)
-        if self.prior == "beta":
-            a = self.successes + 1.0
-            b = self.stats.counts - self.successes + 1.0
-            scores = betaincinv(a, b, level)
-        else:
-            precision = 1.0 + self.stats.counts
-            scores = self.stats.sums / precision + ndtri(level) / np.sqrt(precision)
+        reward_sum = self.successes if self.prior == "beta" else self.stats.sums
+        scores = bayes_ucb_index(reward_sum, self.stats.counts, t, self.horizon, self.prior)
         return np.argmax(scores, axis=1)
 
     def _after_update(self, t, arms, rewards):

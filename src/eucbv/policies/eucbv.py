@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..stats import ArmStats, PullStats, UndefinedEstimateError
+from ..stats import PullStats
 from .base import BatchPolicy
 
 _NEG_INF = -np.inf
@@ -42,10 +42,6 @@ _NEG_INF = -np.inf
 def confidence_radius(v_hat, pulls, log_term, rho):
     """sqrt(rho*(v+2)*log_term/(4 z)); polymorphic over scalars and arrays."""
     return np.sqrt(rho * (v_hat + 2.0) * log_term / (4.0 * pulls))
-
-
-def _clamped_log(x: float) -> float:
-    return math.log(x) if x > 1.0 else 0.0
 
 
 def _quota(psi: float, horizon: int, epsilon) -> np.ndarray:
@@ -129,15 +125,6 @@ def eucbv_init(n_arms: int, horizon: int, rho: float = 0.5, psi: float | None = 
     return state
 
 
-def eucbv_confidence(stats: ArmStats, state: EucbvState) -> float:
-    """Confidence radius of one arm under the state's current round (lane 0)."""
-    if stats.pulls == 0:
-        raise UndefinedEstimateError("confidence undefined before the first pull")
-    return float(
-        confidence_radius(stats.variance(), stats.pulls, state.log_conf[0], state.rho)
-    )
-
-
 def _radii(state: EucbvState) -> tuple:
     means = state.stats.means()
     conf = confidence_radius(
@@ -192,35 +179,6 @@ def eucbv_advance_round(state: EucbvState, t: int,
     state.m[adv] += 1
     state.log_conf[adv] = _radius_log(state, state.epsilon[adv])
     return state
-
-
-def record_init_pull(state: EucbvState, arms: np.ndarray, rewards: np.ndarray) -> EucbvState:
-    """Record one of the t = 1..K initialization pulls (no elimination yet)."""
-    state.stats.record(arms, rewards)
-    state.t += 1
-    return state
-
-
-def eucbv_step(state: EucbvState, env_reward) -> tuple:
-    """One main-loop timestep of a single-lane state (t >= K+1).
-
-    Composes select -> observe -> record -> eliminate -> round reset, with
-    the stopping rule short-circuiting committed lanes.  ``env_reward`` is
-    called with the pulled arm index and must return that pull's reward.
-    """
-    if state.n_runs != 1:
-        raise ValueError("eucbv_step drives single-lane states; use EucbvPolicy for batches")
-    if state.t < state.n_arms:
-        raise ValueError("initialization pulls must be recorded before stepping")
-    not_committed = state.active_counts() > 1
-    arms = eucbv_select(state)
-    reward = float(env_reward(int(arms[0])))
-    state.stats.record(arms, np.array([reward]))
-    state.t += 1
-    if not_committed[0]:
-        eucbv_eliminate(state)
-        eucbv_advance_round(state, state.t)
-    return state, int(arms[0])
 
 
 class EucbvPolicy(BatchPolicy):

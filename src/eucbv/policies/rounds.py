@@ -1,12 +1,13 @@
 """Round-structured baselines: DMED, UCB-Improved, Median Elimination.
 
-These policies have per-run control flow (queues, round-robin sweeps).
-UCB-Improved and Median Elimination are plain single-run classes batched via
-:class:`~eucbv.policies.base.LoopBatch`; DMED's queue maps onto a
-mask-plus-cursor representation, so it also has a lane-vectorized batch form
-(the production one) with the scalar class kept as its reference.  Each
-handles the t <= K initialization pulls itself (arm t-1), counting them
-toward its round bookkeeping where the listing does.
+These policies have per-run control flow (queues, round-robin sweeps), laid
+out lane-vectorized: a lane's queue or sweep is a row of an arm mask plus a
+cursor column, consumed in ascending arm order from the cursor.  UCB-Improved
+and Median Elimination also keep a per-lane round index into a per-round
+quota table computed once with the same float operations as the listings.
+Each counts the t <= K initialization pulls (arm t-1) toward its round
+bookkeeping where the listing does.  Per-run scalar transcriptions of all
+three are kept in ``tests/oracles.py`` as pull-for-pull references.
 """
 
 from __future__ import annotations
@@ -19,73 +20,14 @@ from .base import BatchPolicy
 from .kl import kl_bernoulli
 
 
-class _ScalarPolicy:
-    policy_id = "?"
-
-    def __init__(self, n_arms: int, horizon: int):
-        if n_arms < 2:
-            raise ValueError("policies need at least 2 arms")
-        if horizon < n_arms:
-            raise ValueError("horizon must cover the initialization pulls")
-        self.n_arms = n_arms
-        self.horizon = horizon
-        self.counts = np.zeros(n_arms, dtype=np.int64)
-        self.sums = np.zeros(n_arms, dtype=np.float64)
-
-    def update(self, arm: int, reward: float) -> None:
-        self.counts[arm] += 1
-        self.sums[arm] += reward
-        self._after_update(arm, reward)
-
-    def _after_update(self, arm: int, reward: float) -> None:
-        pass
-
-    def survivor(self):
-        return None
-
-    def pull_counts(self) -> np.ndarray:
-        return self.counts.copy()
-
-
-class DmedPolicy(_ScalarPolicy):
+class DmedBatchPolicy(BatchPolicy):
     """Deterministic minimum empirical divergence, Bernoulli divergence.
 
-    Keeps a pull queue; when it empties at timestep t the next queue is the
-    arms j with  z_j * kl(mean_j, mean_best) < ln(t) - ln(z_j), consumed in
-    ascending arm order.  The empirical best always satisfies this
-    (divergence 0), but if the rebuilt list comes out empty (z_j = t edge)
-    the empirical best is pulled.
-    """
-
-    policy_id = "dmed"
-
-    def __init__(self, n_arms, horizon):
-        super().__init__(n_arms, horizon)
-        self._queue = []
-        self._head = 0
-
-    def select(self, t: int) -> int:
-        if t <= self.n_arms:
-            return t - 1
-        if self._head >= len(self._queue):
-            self._rebuild(t)
-        arm = self._queue[self._head]
-        self._head += 1
-        return arm
-
-    def _rebuild(self, t: int) -> None:
-        means = self.sums / self.counts
-        best = float(means.max())
-        lhs = self.counts * kl_bernoulli(means, best)
-        keep = lhs < (math.log(t) - np.log(self.counts))
-        self._queue = np.nonzero(keep)[0].tolist()
-        if not self._queue:
-            self._queue = [int(np.argmax(means))]
-        self._head = 0
-
-
-class DmedBatchPolicy(BatchPolicy):
-    """Lane-vectorized DMED; trajectory-identical to :class:`DmedPolicy`.
+    Keeps a pull queue per lane; when it empties at timestep t the next
+    queue is the arms j with  z_j * kl(mean_j, mean_best) < ln(t) - ln(z_j),
+    consumed in ascending arm order.  The empirical best always satisfies
+    this (divergence 0), but if the rebuilt list comes out empty (z_j = t
+    edge) the empirical best is pulled.
 
     The pull queue of lane r is (mask row r, cursor r): queue members are the
     set arms at or past the cursor, consumed in ascending index order; an
@@ -121,11 +63,63 @@ class DmedBatchPolicy(BatchPolicy):
         return arms
 
 
-class UcbImprovedPolicy(_ScalarPolicy):
+class _SweepPolicy(BatchPolicy):
+    """Round-robin sweeps over a per-lane active set with per-round quotas.
+
+    Subclasses pass ``quotas``, where ``quotas[m]`` is round m's per-arm
+    quota; a lane past the table's last round keeps the last quota.  The
+    cursor is the column the next sweep starts from (cyclically); a round
+    completion resets it to 0.
+    """
+
+    def __init__(self, n_runs, n_arms, horizon, rng, quotas):
+        super().__init__(n_runs, n_arms, horizon, rng)
+        self._quotas = np.array(quotas, dtype=np.int64)
+        self._quota = np.full(n_runs, self._quotas[0])
+        self._active = np.ones((n_runs, n_arms), dtype=bool)
+        self._n_active = np.full(n_runs, n_arms, dtype=np.int64)
+        self._cursor = np.zeros(n_runs, dtype=np.int64)
+        self._round = np.zeros(n_runs, dtype=np.int64)
+        self._cols = np.arange(n_arms)
+        self._rows = np.arange(n_runs)
+
+    def _sweep(self, counts: np.ndarray) -> np.ndarray:
+        """Per lane, the next active arm below quota cycling from the cursor;
+        when every active arm met the quota, the next active arm."""
+        cand = self._active & (counts < self._quota[:, None])
+        spent = ~cand.any(axis=1)
+        if spent.any():
+            cand[spent] = self._active[spent]
+        ahead = cand & (self._cols >= self._cursor[:, None])
+        arms = np.where(ahead.any(axis=1), np.argmax(ahead, axis=1), np.argmax(cand, axis=1))
+        self._cursor = arms + 1
+        return arms
+
+    def _completed(self, arms: np.ndarray, counts: np.ndarray,
+                   live: np.ndarray) -> np.ndarray:
+        """Live lanes whose every active arm has met this round's quota."""
+        lanes = np.nonzero(live & (counts[self._rows, arms] >= self._quota))[0]
+        if not lanes.size:
+            return lanes
+        least = np.where(self._active[lanes], counts[lanes], np.inf).min(axis=1)
+        return lanes[least >= self._quota[lanes]]
+
+    def _next_round(self, lanes: np.ndarray) -> None:
+        self._n_active[lanes] = self._active[lanes].sum(axis=1)
+        self._round[lanes] += 1
+        self._quota[lanes] = self._quotas[np.minimum(self._round[lanes], self._quotas.size - 1)]
+        self._cursor[lanes] = 0
+
+    def survivors(self) -> np.ndarray:
+        only = np.argmax(self._active, axis=1)
+        return np.where(self._n_active == 1, only, -1).astype(np.int64)
+
+
+class UcbImprovedPolicy(_SweepPolicy):
     """Round-based elimination with a halving gap guess delta_tilde.
 
     Round m pulls every active arm up to n_m = ceil(2 ln(T d^2) / d^2) total
-    pulls (d = delta_tilde, logs clamped at 0), then removes arms with
+    pulls (d = delta_tilde = 2**-m, logs clamped at 0), then removes arms with
     mean_i + c < max_j(mean_j - c) for c = sqrt(ln(T d^2) / (2 n_m)) and
     halves d, for at most floor(log2(T/e)/2) rounds.  After the final round
     (or on a singleton) it keeps cycling the surviving arms.
@@ -133,61 +127,37 @@ class UcbImprovedPolicy(_ScalarPolicy):
 
     policy_id = "ucb-improved"
 
-    def __init__(self, n_arms, horizon):
-        super().__init__(n_arms, horizon)
-        self.delta_tilde = 1.0
-        self.round = 0
-        self.max_rounds = math.floor(0.5 * math.log2(horizon / math.e))
-        self.active = list(range(n_arms))
-        self._cursor = 0
-        self._quota = self._quota_for(self.delta_tilde)
+    def __init__(self, n_runs, n_arms, horizon, rng=None):
+        max_rounds = math.floor(0.5 * math.log2(horizon / math.e))
+        quotas, widths = [], []
+        d = 1.0
+        for _ in range(max(max_rounds, 0) + 1):
+            quota = max(1, math.ceil(2.0 * max(math.log(horizon * d * d), 0.0) / (d * d)))
+            quotas.append(quota)
+            widths.append(math.sqrt(max(math.log(horizon * d ** 2), 0.0) / (2.0 * quota)))
+            d *= 0.5
+        super().__init__(n_runs, n_arms, horizon, rng, quotas)
+        self._max_rounds = max_rounds
+        self._widths = np.array(widths, dtype=np.float64)
 
-    def _quota_for(self, d: float) -> int:
-        log_term = max(math.log(self.horizon * d * d), 0.0)
-        return max(1, math.ceil(2.0 * log_term / (d * d)))
+    def _select(self, t):
+        return self._sweep(self.stats.counts)
 
-    def select(self, t: int) -> int:
-        if t <= self.n_arms:
-            return t - 1
-        if len(self.active) == 1:
-            return self.active[0]
-        # Next active arm below quota, cycling from the cursor; if every arm
-        # met the quota (rounds exhausted) fall back to plain round-robin.
-        n = len(self.active)
-        for k in range(n):
-            arm = self.active[(self._cursor + k) % n]
-            if self.counts[arm] < self._quota:
-                self._cursor = (self._cursor + k + 1) % n
-                return arm
-        arm = self.active[self._cursor % n]
-        self._cursor = (self._cursor + 1) % n
-        return arm
-
-    def _after_update(self, arm, reward):
-        if len(self.active) == 1 or self.round > self.max_rounds:
+    def _after_update(self, t, arms, rewards):
+        counts = self.stats.counts
+        live = (self._n_active > 1) & (self._round <= self._max_rounds)
+        done = self._completed(arms, counts, live)
+        if not done.size:
             return
-        if self.counts[arm] < self._quota:
-            return
-        idx = np.array(self.active)
-        if int(self.counts[idx].min()) < self._quota:
-            return
-        # Round complete: eliminate, then halve the gap guess.
-        log_term = max(math.log(self.horizon * self.delta_tilde ** 2), 0.0)
-        c = math.sqrt(log_term / (2.0 * self._quota))
-        means = self.sums[idx] / self.counts[idx]
-        threshold = float((means - c).max())
-        self.active = [a for a, m in zip(self.active, means) if not (m + c < threshold)]
-        self.delta_tilde *= 0.5
-        self.round += 1
-        self._cursor = 0
-        if self.round <= self.max_rounds:
-            self._quota = self._quota_for(self.delta_tilde)
-
-    def survivor(self):
-        return self.active[0] if len(self.active) == 1 else None
+        c = self._widths[self._round[done]][:, None]
+        means = self.stats.sums[done] / counts[done]
+        active = self._active[done]
+        threshold = np.where(active, means - c, -np.inf).max(axis=1)
+        self._active[done] = active & ~(means + c < threshold[:, None])
+        self._next_round(done)
 
 
-class MedianElimPolicy(_ScalarPolicy):
+class MedianElimPolicy(_SweepPolicy):
     """Median elimination with accuracy eps and confidence delta.
 
     Round l samples every surviving arm n_l = ceil(4/eps_l^2 * ln(3/delta_l))
@@ -198,55 +168,36 @@ class MedianElimPolicy(_ScalarPolicy):
 
     policy_id = "median-elim"
 
-    def __init__(self, n_arms, horizon, epsilon: float = 0.1, delta: float = 0.1):
-        super().__init__(n_arms, horizon)
+    def __init__(self, n_runs, n_arms, horizon, rng=None,
+                 epsilon: float = 0.1, delta: float = 0.1):
         if not (0.0 < epsilon < 1.0) or not (0.0 < delta < 1.0):
             raise ValueError("median-elim needs epsilon, delta in (0, 1)")
-        self.surviving = list(range(n_arms))
-        self.eps_l = epsilon / 4.0
-        self.delta_l = delta / 2.0
-        self._round_counts = np.zeros(n_arms, dtype=np.int64)
-        self._round_sums = np.zeros(n_arms, dtype=np.float64)
-        self._cursor = 0
-        self._quota = self._quota_for()
+        # Two arms cannot both reach a quota above T, so the table stops at
+        # the first such round.
+        quotas = []
+        eps_l, delta_l = epsilon / 4.0, delta / 2.0
+        while not quotas or quotas[-1] <= horizon:
+            quotas.append(max(1, math.ceil(4.0 / eps_l ** 2 * math.log(3.0 / delta_l))))
+            eps_l *= 0.75
+            delta_l *= 0.5
+        super().__init__(n_runs, n_arms, horizon, rng, quotas)
+        self._round_counts = np.zeros((n_runs, n_arms), dtype=np.float64)
+        self._round_sums = np.zeros((n_runs, n_arms), dtype=np.float64)
 
-    def _quota_for(self) -> int:
-        return max(1, math.ceil(4.0 / self.eps_l ** 2 * math.log(3.0 / self.delta_l)))
+    def _select(self, t):
+        return self._sweep(self._round_counts)
 
-    def select(self, t: int) -> int:
-        if t <= self.n_arms:
-            return t - 1
-        if len(self.surviving) == 1:
-            return self.surviving[0]
-        n = len(self.surviving)
-        for k in range(n):
-            arm = self.surviving[(self._cursor + k) % n]
-            if self._round_counts[arm] < self._quota:
-                self._cursor = (self._cursor + k + 1) % n
-                return arm
-        arm = self.surviving[self._cursor % n]
-        self._cursor = (self._cursor + 1) % n
-        return arm
-
-    def _after_update(self, arm, reward):
-        if len(self.surviving) == 1:
-            return
-        self._round_counts[arm] += 1
-        self._round_sums[arm] += reward
-        if self._round_counts[arm] < self._quota:
-            return
-        idx = np.array(self.surviving)
-        if int(self._round_counts[idx].min()) < self._quota:
-            return
-        means = self._round_sums[idx] / self._round_counts[idx]
-        med = float(np.median(means))
-        self.surviving = [a for a, m in zip(self.surviving, means) if m >= med]
-        self.eps_l *= 0.75
-        self.delta_l *= 0.5
-        self._quota = self._quota_for()
-        self._round_counts[:] = 0
-        self._round_sums[:] = 0.0
-        self._cursor = 0
-
-    def survivor(self):
-        return self.surviving[0] if len(self.surviving) == 1 else None
+    def _after_update(self, t, arms, rewards):
+        # A committed lane's round statistics are never read again.
+        self._round_counts[self._rows, arms] += 1.0
+        self._round_sums[self._rows, arms] += rewards
+        done = self._completed(arms, self._round_counts, self._n_active > 1)
+        for lane in done.tolist():
+            idx = np.nonzero(self._active[lane])[0]
+            means = self._round_sums[lane, idx] / self._round_counts[lane, idx]
+            med = float(np.median(means))
+            self._active[lane, idx[~(means >= med)]] = False
+        if done.size:
+            self._round_counts[done] = 0.0
+            self._round_sums[done] = 0.0
+            self._next_round(done)

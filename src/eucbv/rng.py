@@ -90,10 +90,6 @@ class RngStream:
         self.key = key & _MASK64
         self.counter = counter
 
-    @classmethod
-    def from_seed(cls, seed: int) -> "RngStream":
-        return cls(mix64(seed))
-
     def uniform(self) -> float:
         """One uniform draw in [0, 1)."""
         self.counter += 1
@@ -105,20 +101,6 @@ class RngStream:
         out = _uniforms_from(np.uint64(self.key), self.counter, n)
         self.counter += n
         return out
-
-    def bernoulli(self, p: float) -> float:
-        """A {0.0, 1.0} draw with P(1)=p.  Consumes exactly 1 uniform."""
-        return 1.0 if self.uniform() < p else 0.0
-
-    def normal(self) -> float:
-        """A standard normal via Box-Muller.  Consumes exactly 2 uniforms.
-
-        Uses numpy's log1p/cos so scalar and batched paths agree bitwise.
-        """
-        u1 = self.uniform()
-        u2 = self.uniform()
-        r = float(np.sqrt(-2.0 * np.log1p(-u1)))
-        return r * float(np.cos(_TWO_PI * u2))
 
 
 def derive_run_stream(master_seed: int, run_index: int,

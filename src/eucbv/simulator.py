@@ -5,8 +5,8 @@ regret grows by the true gap of arm i, so a trace depends only on pull
 decisions and true means (never on realized rewards directly).
 
 Replications are bit-reproducible and partition-independent: run k always
-consumes the streams derived from (master_seed, k), whether executed alone,
-inside a batch, serially, or across worker processes.  run_many splits runs
+consumes the streams derived from (master_seed, k), whether executed alone
+(a one-lane batch), inside a batch, serially, or across worker processes.  run_many splits runs
 into fixed-size chunks (independent of --threads) and merges results by run
 index, so the aggregate bytes never depend on the degree of parallelism.
 """
@@ -18,22 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Environment, make_environment, sample_reward, sample_rewards_batch
+from .env import Environment, make_environment, sample_rewards_batch
 from .policies import make_batch_policy
-from .rng import DOMAIN_POLICY, DOMAIN_REWARDS, RngStream, StreamBatch
+from .rng import DOMAIN_POLICY, DOMAIN_REWARDS, StreamBatch
 
 DEFAULT_CHECKPOINTS = 200
 CHUNK_RUNS = 50  # fixed batch width; must not depend on thread count
-
-
-@dataclass(frozen=True)
-class RunTrace:
-    """Full trajectory of one replication."""
-
-    run_index: int
-    regret_curve: np.ndarray  # (T,) cumulative pseudo-regret
-    pulls: np.ndarray         # (K,) final pull counts
-    survivor: int | None      # surviving arm for eliminating policies
 
 
 @dataclass(frozen=True)
@@ -63,27 +53,6 @@ def checkpoint_times(horizon: int, n_checkpoints: int = DEFAULT_CHECKPOINTS) -> 
         return np.arange(1, horizon + 1, dtype=np.int64)
     ts = (np.arange(1, n_checkpoints + 1, dtype=np.int64) * horizon) // n_checkpoints
     return np.unique(ts)
-
-
-def run_once(env: Environment, policy, horizon: int, rng: RngStream,
-             run_index: int = 0) -> RunTrace:
-    """Drive a freshly initialized single-run policy for exactly T pulls."""
-    n_arms = env.n_arms
-    if horizon < n_arms:
-        raise ValueError(f"horizon {horizon} < number of arms {n_arms}")
-    gaps = env.gaps
-    curve = np.empty(horizon, dtype=np.float64)
-    pulls = np.zeros(n_arms, dtype=np.int64)
-    regret = 0.0
-    for t in range(1, horizon + 1):
-        arm = policy.select(t)
-        reward = sample_reward(env.arms[arm], rng)
-        policy.update(arm, reward)
-        pulls[arm] += 1
-        regret += gaps[arm]
-        curve[t - 1] = regret
-    survivor = policy.survivor() if hasattr(policy, "survivor") else None
-    return RunTrace(run_index, curve, pulls, survivor)
 
 
 def run_batch(env: Environment, policy, horizon: int, reward_streams: StreamBatch,
@@ -129,24 +98,13 @@ def run_many(env: Environment, policy, horizon: int, runs: int, master_seed: int
              n_checkpoints: int = DEFAULT_CHECKPOINTS) -> AggregateCurve:
     """Aggregate ``runs`` independent replications of one policy.
 
-    ``policy`` is a registered policy id, an (id, params) pair, or a callable
-    factory ``(n_arms, horizon, rng) -> single-run policy`` (callables run
-    serially through :func:`run_once`).  Replication k uses the reward and
-    policy streams derived from (master_seed, k).  The aggregate is invariant
-    to ``threads``.
+    ``policy`` is a registered policy id or an (id, params) pair.
+    Replication k uses the reward and policy streams derived from
+    (master_seed, k).  The aggregate is invariant to ``threads``.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     ck = checkpoint_times(horizon, n_checkpoints)
-    if callable(policy):
-        curves = np.empty((runs, len(ck)), dtype=np.float64)
-        for k in range(runs):
-            reward_rng = _reward_stream(master_seed, k)
-            instance = policy(env.n_arms, horizon, _policy_stream(master_seed, k))
-            trace = run_once(env, instance, horizon, reward_rng, run_index=k)
-            curves[k] = trace.regret_curve[ck - 1]
-        return _aggregate(getattr(policy, "policy_id", "custom"), curves, ck)
-
     policy_id, params = (policy, None) if isinstance(policy, str) else policy
     arm_specs = tuple((a.kind, a.mean, a.variance) for a in env.arms)
     tasks = [
@@ -165,16 +123,6 @@ def run_many(env: Environment, policy, horizon: int, runs: int, master_seed: int
     for lo, chunk_curves, _pulls, _survivors in results:
         curves[lo:lo + chunk_curves.shape[0]] = chunk_curves
     return _aggregate(policy_id, curves, ck)
-
-
-def _reward_stream(master_seed: int, run_index: int) -> RngStream:
-    from .env import derive_run_stream
-
-    return derive_run_stream(master_seed, run_index, DOMAIN_REWARDS)
-
-
-def _policy_stream(master_seed: int, run_index: int) -> StreamBatch:
-    return StreamBatch.for_runs(master_seed, [run_index], DOMAIN_POLICY)
 
 
 def _aggregate(policy_id: str, curves: np.ndarray, ck: np.ndarray) -> AggregateCurve:

@@ -8,52 +8,7 @@ horizons the cancellation itself is benign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-class UndefinedEstimateError(ValueError):
-    """Raised when a mean/variance estimate is requested before any pull."""
-
-
-@dataclass(frozen=True)
-class ArmStats:
-    """Pull count and reward sums for one arm (a plain value)."""
-
-    pulls: int = 0
-    reward_sum: float = 0.0
-    reward_sq_sum: float = 0.0
-
-    def mean(self) -> float:
-        return mean_estimate(self)
-
-    def variance(self) -> float:
-        return variance_estimate(self)
-
-
-def record(stats: ArmStats, reward: float) -> ArmStats:
-    """Return ``stats`` updated with one observed reward."""
-    return ArmStats(
-        stats.pulls + 1,
-        stats.reward_sum + reward,
-        stats.reward_sq_sum + reward * reward,
-    )
-
-
-def mean_estimate(stats: ArmStats) -> float:
-    """Sample mean of the recorded rewards."""
-    if stats.pulls == 0:
-        raise UndefinedEstimateError("mean estimate undefined before the first pull")
-    return stats.reward_sum / stats.pulls
-
-
-def variance_estimate(stats: ArmStats) -> float:
-    """Biased sample variance, clamped at 0."""
-    if stats.pulls == 0:
-        raise UndefinedEstimateError("variance estimate undefined before the first pull")
-    m = stats.reward_sum / stats.pulls
-    return max(0.0, stats.reward_sq_sum / stats.pulls - m * m)
 
 
 class PullStats:
@@ -90,10 +45,3 @@ class PullStats:
     def pull_counts(self) -> np.ndarray:
         return self.counts.astype(np.int64)
 
-    def arm_stats(self, run: int, arm: int) -> ArmStats:
-        """Scalar view of one cell."""
-        return ArmStats(
-            int(self.counts[run, arm]),
-            float(self.sums[run, arm]),
-            float(self.sq_sums[run, arm]),
-        )

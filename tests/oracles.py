@@ -2,14 +2,20 @@
 
 Everything here is deliberately written against mpmath (50-digit precision)
 or plain-Python brute force, never against the library's own float paths, so
-an implementation bug cannot cancel out of both sides of an assertion.
+an implementation bug cannot cancel out of both sides of an assertion.  The
+one exception is the per-run round-policy references at the end (DMED,
+UCB-Improved, Median Elimination): they share only ``kl_bernoulli`` with the
+library, so the lane-vectorized policies can be checked pull for pull.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from mpmath import mp, mpf
+
+from eucbv.policies.kl import kl_bernoulli as _kl_bernoulli
 
 mp.dps = 50
 
@@ -109,3 +115,203 @@ def lemma1_ratio(n_arms, horizon, m, rho=0.5) -> float:
 
 def bernstein_bound(psi, horizon, epsilon, rho) -> float:
     return float(2 / (mpf(psi) * horizon * mpf(epsilon)) ** (3 * mpf(rho) / 2))
+
+
+# Per-run scalar transcriptions of the round-structured policies: one
+# select(t) -> arm / update(arm, reward) pair per step, with the queues and
+# active sets kept as Python lists.
+
+class _ScalarPolicy:
+    policy_id = "?"
+
+    def __init__(self, n_arms: int, horizon: int):
+        if n_arms < 2:
+            raise ValueError("policies need at least 2 arms")
+        if horizon < n_arms:
+            raise ValueError("horizon must cover the initialization pulls")
+        self.n_arms = n_arms
+        self.horizon = horizon
+        self.counts = np.zeros(n_arms, dtype=np.int64)
+        self.sums = np.zeros(n_arms, dtype=np.float64)
+
+    def update(self, arm: int, reward: float) -> None:
+        self.counts[arm] += 1
+        self.sums[arm] += reward
+        self._after_update(arm, reward)
+
+    def _after_update(self, arm: int, reward: float) -> None:
+        pass
+
+    def survivor(self):
+        return None
+
+    def pull_counts(self) -> np.ndarray:
+        return self.counts.copy()
+
+
+class DmedPolicy(_ScalarPolicy):
+    """Deterministic minimum empirical divergence, Bernoulli divergence.
+
+    Keeps a pull queue; when it empties at timestep t the next queue is the
+    arms j with  z_j * kl(mean_j, mean_best) < ln(t) - ln(z_j), consumed in
+    ascending arm order.  The empirical best always satisfies this
+    (divergence 0), but if the rebuilt list comes out empty (z_j = t edge)
+    the empirical best is pulled.
+    """
+
+    policy_id = "dmed"
+
+    def __init__(self, n_arms, horizon):
+        super().__init__(n_arms, horizon)
+        self._queue = []
+        self._head = 0
+
+    def select(self, t: int) -> int:
+        if t <= self.n_arms:
+            return t - 1
+        if self._head >= len(self._queue):
+            self._rebuild(t)
+        arm = self._queue[self._head]
+        self._head += 1
+        return arm
+
+    def _rebuild(self, t: int) -> None:
+        means = self.sums / self.counts
+        best = float(means.max())
+        lhs = self.counts * _kl_bernoulli(means, best)
+        keep = lhs < (math.log(t) - np.log(self.counts))
+        self._queue = np.nonzero(keep)[0].tolist()
+        if not self._queue:
+            self._queue = [int(np.argmax(means))]
+        self._head = 0
+
+
+class UcbImprovedPolicy(_ScalarPolicy):
+    """Round-based elimination with a halving gap guess delta_tilde.
+
+    Round m pulls every active arm up to n_m = ceil(2 ln(T d^2) / d^2) total
+    pulls (d = delta_tilde, logs clamped at 0), then removes arms with
+    mean_i + c < max_j(mean_j - c) for c = sqrt(ln(T d^2) / (2 n_m)) and
+    halves d, for at most floor(log2(T/e)/2) rounds.  After the final round
+    (or on a singleton) it keeps cycling the surviving arms.
+    """
+
+    policy_id = "ucb-improved"
+
+    def __init__(self, n_arms, horizon):
+        super().__init__(n_arms, horizon)
+        self.delta_tilde = 1.0
+        self.round = 0
+        self.max_rounds = math.floor(0.5 * math.log2(horizon / math.e))
+        self.active = list(range(n_arms))
+        self._cursor = 0
+        self._quota = self._quota_for(self.delta_tilde)
+
+    def _quota_for(self, d: float) -> int:
+        log_term = max(math.log(self.horizon * d * d), 0.0)
+        return max(1, math.ceil(2.0 * log_term / (d * d)))
+
+    def select(self, t: int) -> int:
+        if t <= self.n_arms:
+            return t - 1
+        if len(self.active) == 1:
+            return self.active[0]
+        # Next active arm below quota, cycling from the cursor; if every arm
+        # met the quota (rounds exhausted) fall back to plain round-robin.
+        n = len(self.active)
+        for k in range(n):
+            arm = self.active[(self._cursor + k) % n]
+            if self.counts[arm] < self._quota:
+                self._cursor = (self._cursor + k + 1) % n
+                return arm
+        arm = self.active[self._cursor % n]
+        self._cursor = (self._cursor + 1) % n
+        return arm
+
+    def _after_update(self, arm, reward):
+        if len(self.active) == 1 or self.round > self.max_rounds:
+            return
+        if self.counts[arm] < self._quota:
+            return
+        idx = np.array(self.active)
+        if int(self.counts[idx].min()) < self._quota:
+            return
+        # Round complete: eliminate, then halve the gap guess.
+        log_term = max(math.log(self.horizon * self.delta_tilde ** 2), 0.0)
+        c = math.sqrt(log_term / (2.0 * self._quota))
+        means = self.sums[idx] / self.counts[idx]
+        threshold = float((means - c).max())
+        self.active = [a for a, m in zip(self.active, means) if not (m + c < threshold)]
+        self.delta_tilde *= 0.5
+        self.round += 1
+        self._cursor = 0
+        if self.round <= self.max_rounds:
+            self._quota = self._quota_for(self.delta_tilde)
+
+    def survivor(self):
+        return self.active[0] if len(self.active) == 1 else None
+
+
+class MedianElimPolicy(_ScalarPolicy):
+    """Median elimination with accuracy eps and confidence delta.
+
+    Round l samples every surviving arm n_l = ceil(4/eps_l^2 * ln(3/delta_l))
+    times using fresh per-round estimates, drops the arms strictly below the
+    round's median mean, then sets eps_{l+1} = 3/4 eps_l, delta_{l+1} =
+    delta_l / 2.  The t <= K initialization pulls seed round 1's counts.
+    """
+
+    policy_id = "median-elim"
+
+    def __init__(self, n_arms, horizon, epsilon: float = 0.1, delta: float = 0.1):
+        super().__init__(n_arms, horizon)
+        if not (0.0 < epsilon < 1.0) or not (0.0 < delta < 1.0):
+            raise ValueError("median-elim needs epsilon, delta in (0, 1)")
+        self.surviving = list(range(n_arms))
+        self.eps_l = epsilon / 4.0
+        self.delta_l = delta / 2.0
+        self._round_counts = np.zeros(n_arms, dtype=np.int64)
+        self._round_sums = np.zeros(n_arms, dtype=np.float64)
+        self._cursor = 0
+        self._quota = self._quota_for()
+
+    def _quota_for(self) -> int:
+        return max(1, math.ceil(4.0 / self.eps_l ** 2 * math.log(3.0 / self.delta_l)))
+
+    def select(self, t: int) -> int:
+        if t <= self.n_arms:
+            return t - 1
+        if len(self.surviving) == 1:
+            return self.surviving[0]
+        n = len(self.surviving)
+        for k in range(n):
+            arm = self.surviving[(self._cursor + k) % n]
+            if self._round_counts[arm] < self._quota:
+                self._cursor = (self._cursor + k + 1) % n
+                return arm
+        arm = self.surviving[self._cursor % n]
+        self._cursor = (self._cursor + 1) % n
+        return arm
+
+    def _after_update(self, arm, reward):
+        if len(self.surviving) == 1:
+            return
+        self._round_counts[arm] += 1
+        self._round_sums[arm] += reward
+        if self._round_counts[arm] < self._quota:
+            return
+        idx = np.array(self.surviving)
+        if int(self._round_counts[idx].min()) < self._quota:
+            return
+        means = self._round_sums[idx] / self._round_counts[idx]
+        med = float(np.median(means))
+        self.surviving = [a for a, m in zip(self.surviving, means) if m >= med]
+        self.eps_l *= 0.75
+        self.delta_l *= 0.5
+        self._quota = self._quota_for()
+        self._round_counts[:] = 0
+        self._round_sums[:] = 0.0
+        self._cursor = 0
+
+    def survivor(self):
+        return self.surviving[0] if len(self.surviving) == 1 else None

@@ -34,10 +34,10 @@ from eucbv.bounds import (
     verify_lemma2,
     verify_lemma6,
 )
-from eucbv.env import ArmModel, make_environment, sample_reward, derive_run_stream
-from eucbv.policies import make_policy
-from eucbv.rng import RngStream, derive_key
-from eucbv.stats import ArmStats, record
+from eucbv.env import ArmModel, make_environment, sample_rewards_batch
+from eucbv.policies import EucbvPolicy
+from eucbv.rng import RngStream, StreamBatch, derive_key
+from eucbv.stats import PullStats
 
 
 def _cli(args, timeout=900):
@@ -157,10 +157,10 @@ def test_criterion_5_invariant_suite():
     worst = 0.0
     for _ in range(cases):
         rewards = rng.random(int(rng.integers(1, 200)))
-        stats = ArmStats()
+        stats = PullStats(1, 1)
         for r in rewards:
-            stats = record(stats, float(r))
-        v = stats.variance()
+            stats.record(np.zeros(1, dtype=np.int64), np.array([r]))
+        v = float(stats.variances()[0, 0])
         worst = max(worst, abs(v - oracles.two_pass_variance(rewards.tolist())))
         assert v <= 0.25 + 1e-12
     assert worst <= 1e-10
@@ -171,18 +171,19 @@ def test_criterion_5_invariant_suite():
         env, horizon = _random_instance(rng)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            policy = make_policy("eucbv", env.n_arms, horizon)
-        stream = derive_run_stream(777, case)
-        state = policy._p.state
+            policy = EucbvPolicy(1, env.n_arms, horizon)
+        stream = StreamBatch.for_runs(777, [case])
+        state = policy.state
         regret = 0.0
         prev = 0.0
         last_active = state.active[0].copy()
         dead_counts = {}
         for t in range(1, horizon + 1):
-            arm = policy.select(t)
+            arms = policy.select(t)
+            arm = int(arms[0])
             if t > env.n_arms:
                 assert last_active[arm], "pulled an eliminated arm"
-            policy.update(arm, sample_reward(env.arms[arm], stream))
+            policy.update(arms, sample_rewards_batch(env, arms, stream))
             assert state.epsilon[0] == 2.0 ** -state.m[0]   # exact halving
             assert state.m[0] <= state.max_rounds + 1
             assert state.active[0].any()                     # never empty
@@ -194,7 +195,7 @@ def test_criterion_5_invariant_suite():
             assert 0.0 <= prev <= regret + 1e-12             # non-decreasing
             prev = regret
             last_active = state.active[0].copy()
-        pulls = policy.pull_counts()
+        pulls = policy.pull_counts()[0]
         assert pulls.sum() == horizon                        # conservation
         assert abs(float(env.gaps @ pulls) - regret) < 1e-9  # identity
         sims += 1

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from eucbv.cli import cmd_run, main
+from eucbv.cli import _write_csv, cmd_run, main
 from eucbv.config import (
     ConfigParseError,
     ConfigValidationError,
@@ -184,6 +184,24 @@ class TestCmdRun:
         finals = [float(line.split(",")[1]) for line in summary[1:]]
         assert finals == sorted(finals)
 
+    def test_csv_write_is_atomic(self, tmp_path):
+        def rows(fail):
+            yield ("a", "1")
+            if fail:
+                raise RuntimeError("interrupted")
+
+        target = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError):
+            _write_csv(target, "x,y", rows(fail=True))
+        assert not target.exists()
+        assert list(tmp_path.iterdir()) == []
+        _write_csv(target, "x,y", rows(fail=False))
+        with pytest.raises(RuntimeError):
+            _write_csv(target, "x,y", rows(fail=True))
+        # an interrupted rewrite keeps the previous complete file
+        assert target.read_text() == "x,y\na,1\n"
+        assert list(tmp_path.iterdir()) == [target]
+
     def test_oracle_policy_zero_rows(self, tmp_path):
         # a two-arm environment where both arms are optimal: regret is 0
         spec = load_config(_write(tmp_path, MINIMAL.replace("0.2*2, 0.8", "0.5, 0.5")))
@@ -205,6 +223,13 @@ class TestCli:
     def test_validation_exit_code(self, tmp_path):
         assert main(["run", "--preset", "expt1", "--runs", "0",
                      "--out", str(tmp_path)]) == 3
+
+    def test_non_finite_environment_exit_code(self, tmp_path):
+        text = MINIMAL.replace("kind = bernoulli", "kind = gaussian").replace(
+            "means = 0.2*2, 0.8", "means = nan, 0.1\nvariances = 0.25, inf")
+        out = tmp_path / "out"
+        assert main(["run", "--config", _write(tmp_path, text), "--out", str(out)]) == 3
+        assert not out.exists() or not any(out.iterdir())
 
     def test_parse_exit_code(self, tmp_path):
         bad = _write(tmp_path, "[experiment\n")

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from eucbv.env import (
-    ArmModel,
-    derive_run_stream,
-    make_environment,
-    sample_reward,
-    sample_rewards_batch,
-)
-from eucbv.rng import StreamBatch, derive_key
+from eucbv.env import ArmModel, make_environment, sample_rewards_batch
+from eucbv.rng import RngStream, StreamBatch, derive_key, derive_run_stream
+
+
+def _lane(seed, run=0):
+    return StreamBatch.for_runs(seed, [run])
+
+
+def _draws(env, arm, streams, n):
+    """``n`` successive rewards of ``arm`` on every lane; shape (n, R)."""
+    arms = np.full(len(streams), arm, dtype=np.int64)
+    return np.array([sample_rewards_batch(env, arms, streams) for _ in range(n)])
 
 
 class TestArmModel:
@@ -37,6 +43,16 @@ class TestArmModel:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             ArmModel("poisson", 1.0, 1.0)
+
+    @pytest.mark.parametrize("mean,variance", [
+        (math.nan, 0.25), (0.1, math.inf), (-math.inf, 0.25), (0.1, math.nan),
+    ])
+    def test_non_finite_rejected(self, mean, variance):
+        with pytest.raises(ValueError, match="finite"):
+            ArmModel.gaussian(mean, variance)
+        if not math.isfinite(mean):
+            with pytest.raises(ValueError):
+                ArmModel.bernoulli(mean)
 
 
 class TestMakeEnvironment:
@@ -68,25 +84,33 @@ class TestMakeEnvironment:
         with pytest.raises(ValueError):
             make_environment([("gaussian", 0.5), ("gaussian", 0.6)])
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            make_environment([("gaussian", math.nan, 0.25), ("gaussian", 0.1, 0.25)])
+        with pytest.raises(ValueError):
+            make_environment([("gaussian", 0.5, 0.25), ("gaussian", 0.1, math.inf)])
+
+    def test_kind_is_recorded(self):
+        assert make_environment([("bernoulli", 0.2)] * 2).kind == "bernoulli"
+        assert make_environment([("gaussian", 0.2, 1.0)] * 2).kind == "gaussian"
+
 
 class TestSampleReward:
     def test_degenerate_bernoulli(self):
-        rng = derive_run_stream(1, 0)
-        one = ArmModel.bernoulli(1.0)
-        zero = ArmModel.bernoulli(0.0)
-        assert all(sample_reward(one, rng) == 1.0 for _ in range(50))
-        assert all(sample_reward(zero, rng) == 0.0 for _ in range(50))
+        env = make_environment([("bernoulli", 1.0), ("bernoulli", 0.0)])
+        lane = _lane(1)
+        assert (_draws(env, 0, lane, 50) == 1.0).all()
+        assert (_draws(env, 1, lane, 50) == 0.0).all()
 
     def test_bernoulli_law_of_large_numbers(self):
         # Oracle: direct Monte-Carlo at 1e6 draws concentrates within 1e-3.
         rng = derive_run_stream(2024, 0)
-        arm = ArmModel.bernoulli(0.1)
         n = 10 ** 6
         mean = np.mean([rewards for rewards in (rng.uniforms(n) < 0.1,)][0])
         assert abs(mean - 0.1) < 1e-3
-        # and through the scalar op on a smaller sample
-        rng2 = derive_run_stream(2024, 1)
-        small = np.mean([sample_reward(arm, rng2) for _ in range(20_000)])
+        # and through the batched sampler on a smaller sample
+        env = make_environment([("bernoulli", 0.1), ("bernoulli", 0.5)])
+        small = _draws(env, 0, _lane(2024, 1), 20_000).mean()
         assert abs(small - 0.1) < 0.01
 
     def test_bernoulli_empirical_mean_concentration(self):
@@ -99,24 +123,24 @@ class TestSampleReward:
         assert ok >= int(0.99 * trials)
 
     def test_gaussian_moments(self):
-        rng = derive_run_stream(3, 0)
-        arm = ArmModel.gaussian(0.5, 0.04)
-        xs = np.array([sample_reward(arm, rng) for _ in range(100_000)])
+        env = make_environment([("gaussian", 0.5, 0.04), ("gaussian", 0.0, 1.0)])
+        xs = _draws(env, 0, StreamBatch.for_runs(3, range(1000)), 100).ravel()
         assert abs(xs.mean() - 0.5) < 0.01
         assert abs(xs.var() - 0.04) / 0.04 < 0.05  # 5% relative error
 
     def test_gaussian_not_clipped(self):
-        rng = derive_run_stream(4, 0)
-        arm = ArmModel.gaussian(0.5, 1.0)
-        xs = [sample_reward(arm, rng) for _ in range(2000)]
-        assert min(xs) < 0.0 and max(xs) > 1.0
+        env = make_environment([("gaussian", 0.5, 1.0), ("gaussian", 0.0, 1.0)])
+        xs = _draws(env, 0, _lane(4), 2000)
+        assert xs.min() < 0.0 and xs.max() > 1.0
 
     def test_fixed_draw_counts(self):
-        rng = derive_run_stream(5, 0)
-        sample_reward(ArmModel.bernoulli(0.5), rng)
-        assert rng.counter == 1
-        sample_reward(ArmModel.gaussian(0.0, 1.0), rng)
-        assert rng.counter == 3  # exactly two more draws
+        lane = _lane(5)
+        sample_rewards_batch(make_environment([("bernoulli", 0.5)] * 2),
+                             np.array([0]), lane)
+        assert lane.counters.tolist() == [1]
+        sample_rewards_batch(make_environment([("gaussian", 0.0, 1.0)] * 2),
+                             np.array([0]), lane)
+        assert lane.counters.tolist() == [3]  # exactly two more draws
 
 
 class TestDeriveRunStream:
@@ -136,12 +160,14 @@ class TestDeriveRunStream:
 
 
 class TestBatchSampling:
+    """Each lane's reward is a pure function of that lane's own stream."""
+
     def test_batch_bernoulli_matches_scalar(self):
         env = make_environment([("bernoulli", 0.3), ("bernoulli", 0.7)])
         arms = np.array([0, 1, 1, 0])
         batch = StreamBatch(np.array([derive_key(6, k) for k in range(4)], dtype=np.uint64))
         got = sample_rewards_batch(env, arms, batch)
-        want = [sample_reward(env.arms[a], derive_run_stream(6, k))
+        want = [float(RngStream(derive_key(6, k)).uniform() < env.means[a])
                 for k, a in enumerate(arms)]
         assert got.tolist() == want
 
@@ -150,16 +176,14 @@ class TestBatchSampling:
         arms = np.array([1, 0, 1])
         batch = StreamBatch(np.array([derive_key(8, k) for k in range(3)], dtype=np.uint64))
         got = sample_rewards_batch(env, arms, batch)
-        want = np.array([sample_reward(env.arms[a], derive_run_stream(8, k))
-                         for k, a in enumerate(arms)])
-        assert np.array_equal(got, want)
+        want = []
+        for k, a in enumerate(arms):
+            u1, u2 = RngStream(derive_key(8, k)).uniforms(2)
+            z = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+            want.append(env.means[a] + np.sqrt(env.variances[a]) * z)
+        assert np.array_equal(got, np.array(want))
 
     def test_mixed_kind_environment(self):
-        env = make_environment([("bernoulli", 0.5), ("gaussian", 0.5, 0.01)])
-        arms = np.array([0, 1, 0, 1])
-        batch = StreamBatch(np.array([derive_key(9, k) for k in range(4)], dtype=np.uint64))
-        got = sample_rewards_batch(env, arms, batch)
-        want = np.array([sample_reward(env.arms[a], derive_run_stream(9, k))
-                         for k, a in enumerate(arms)])
-        assert np.array_equal(got, want)
-        assert batch.counters.tolist() == [1, 2, 1, 2]
+        # one kind per environment: no config can build a mixed one
+        with pytest.raises(ValueError, match="one arm kind"):
+            make_environment([("bernoulli", 0.5), ("gaussian", 0.5, 0.01)])

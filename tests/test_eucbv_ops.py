@@ -11,14 +11,12 @@ import pytest
 import oracles
 from eucbv.policies import (
     EucbvPolicy,
+    confidence_radius,
     eucbv_advance_round,
-    eucbv_confidence,
     eucbv_eliminate,
     eucbv_init,
     eucbv_select,
-    eucbv_step,
 )
-from eucbv.stats import ArmStats, UndefinedEstimateError
 
 
 def _set_arm(state, arm, pulls, mean, v_hat, lane=0):
@@ -66,36 +64,32 @@ class TestInit:
             eucbv_init(10, 200)  # 200 < 10^2.4
 
 
+def _radius(state, v_hat, pulls):
+    """Confidence radius of one arm under lane 0's current round."""
+    return float(confidence_radius(v_hat, pulls, state.log_conf[0], state.rho))
+
+
 class TestConfidence:
     def test_round_zero_example(self):
         # z=9, v=0.09, psi*T=9e6, eps=1, rho=0.5 (eps power irrelevant at eps=1)
         state = eucbv_init(20, 60000)
-        stats = ArmStats(9, 9 * 0.5, 9 * (0.09 + 0.25))
         expected = oracles.confidence_radius(0.09, 9, 150, 60000, 1.0, 0.5)
         assert expected == pytest.approx(0.6817727752865445, abs=1e-12)
-        assert eucbv_confidence(stats, state) == pytest.approx(expected, rel=1e-12)
+        assert _radius(state, 0.09, 9) == pytest.approx(expected, rel=1e-12)
 
     def test_decreasing_in_pulls_and_increasing_in_variance(self):
         state = eucbv_init(20, 60000)
-        radii = [
-            eucbv_confidence(ArmStats(z, z * 0.5, z * (0.1 + 0.25)), state)
-            for z in (1, 2, 5, 10, 100, 10_000)
-        ]
+        radii = [_radius(state, 0.1, z) for z in (1, 2, 5, 10, 100, 10_000)]
         assert all(a > b for a, b in zip(radii, radii[1:]))
-        low = eucbv_confidence(ArmStats(10, 5.0, 10 * 0.25), state)      # v=0
-        high = eucbv_confidence(ArmStats(10, 5.0, 10 * (0.2 + 0.25)), state)
+        low = _radius(state, 0.0, 10)
+        high = _radius(state, 0.2, 10)
         assert high > low
 
     def test_clamped_log_gives_zero_radius(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             state = eucbv_init(2, 10, psi=0.05)  # psi*T = 0.5 <= 1
-        assert eucbv_confidence(ArmStats(3, 1.5, 0.75 + 0.01), state) == 0.0
-
-    def test_unpulled_arm_rejected(self):
-        state = eucbv_init(2, 100)
-        with pytest.raises(UndefinedEstimateError):
-            eucbv_confidence(ArmStats(), state)
+        assert _radius(state, 0.01 / 3, 3) == 0.0
 
 
 class TestSelect:
@@ -210,22 +204,18 @@ class TestAdvanceRound:
 
 class TestStep:
     def _drive(self, n_arms, horizon, tape, **kw):
-        state = eucbv_init(n_arms, horizon, **kw)
+        policy = EucbvPolicy(1, n_arms, horizon, **kw)
         cursor = [0] * n_arms
-
-        def reward(arm):
+        pulled = []
+        for t in range(1, horizon + 1):
+            arms = policy.select(t)
+            arm = int(arms[0])
             r = tape[arm][cursor[arm] % len(tape[arm])]
             cursor[arm] += 1
-            return r
-
-        for arm in range(n_arms):
-            state.stats.record(np.array([arm]), np.array([reward(arm)]))
-            state.t += 1
-        pulled = []
-        while state.t < horizon:
-            state, arm = eucbv_step(state, reward)
-            pulled.append(arm)
-        return state, pulled
+            policy.update(arms, np.array([r]))
+            if t > n_arms:
+                pulled.append(arm)
+        return policy.state, pulled
 
     def test_pull_conservation(self):
         state, _ = self._drive(3, 200, {0: [0.9], 1: [0.5], 2: [0.1]})
@@ -237,16 +227,6 @@ class TestStep:
         # once committed, every remaining pull hits the survivor
         last_elim = max(i for i, a in enumerate(pulled) if a == 1)
         assert all(a == 0 for a in pulled[last_elim + 1:])
-
-    def test_rejects_batched_state(self):
-        state = eucbv_init(2, 100, n_runs=3)
-        with pytest.raises(ValueError):
-            eucbv_step(state, lambda arm: 0.5)
-
-    def test_rejects_missing_init_pulls(self):
-        state = eucbv_init(2, 100)
-        with pytest.raises(ValueError):
-            eucbv_step(state, lambda arm: 0.5)
 
 
 class TestPolicyInvariants:

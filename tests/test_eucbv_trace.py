@@ -12,7 +12,13 @@ import math
 
 import numpy as np
 
-from eucbv.policies import EucbvPolicy, eucbv_init, eucbv_step
+from eucbv.policies import (
+    EucbvPolicy,
+    eucbv_advance_round,
+    eucbv_eliminate,
+    eucbv_init,
+    eucbv_select,
+)
 
 # Scripted tape: reward of arm i's j-th pull is TAPE[i][j % len].  Chosen so
 # the 64-step trajectory contains three round resets, an elimination (t=39),
@@ -122,7 +128,9 @@ def engine_trajectory_policy(n_arms, horizon, tape, **kw):
 
 
 def engine_trajectory_ops(n_arms, horizon, tape, psi=None, rho=0.5):
-    """Same trajectory through the raw op compositions (eucbv_step)."""
+    """Same trajectory through the raw ops on a one-lane state: select ->
+    observe -> record -> eliminate -> round reset, with a committed lane
+    only pulling."""
     state = eucbv_init(n_arms, horizon, rho=rho, psi=psi)
     cursor = [0] * n_arms
 
@@ -141,7 +149,14 @@ def engine_trajectory_ops(n_arms, horizon, tape, psi=None, rho=0.5):
     prev_active = state.active[0].copy()
     prev_m = int(state.m[0])
     while state.t < horizon:
-        state, arm = eucbv_step(state, reward)
+        committed = state.active_counts()[0] == 1
+        arms = eucbv_select(state)
+        arm = int(arms[0])
+        state.stats.record(arms, np.array([reward(arm)]))
+        state.t += 1
+        if not committed:
+            eucbv_eliminate(state)
+            eucbv_advance_round(state, state.t)
         pulls_seq.append(arm)
         removed = np.nonzero(prev_active & ~state.active[0])[0]
         if removed.size:

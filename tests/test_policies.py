@@ -10,16 +10,17 @@ import pytest
 import oracles
 from eucbv.policies import (
     POLICY_IDS,
-    baseline_index,
+    bayes_ucb_index,
     kl_bernoulli,
     klucb_index,
     make_batch_policy,
-    make_policy,
+    moss_index,
+    ocucb_index,
+    ucb1_index,
+    ucbv_index,
     validate_params,
 )
-from eucbv.policies.rounds import DmedPolicy, MedianElimPolicy, UcbImprovedPolicy
 from eucbv.rng import StreamBatch, derive_key
-from eucbv.stats import ArmStats, UndefinedEstimateError
 
 
 def _rng(seed=0, lanes=1):
@@ -30,20 +31,18 @@ def _rng(seed=0, lanes=1):
 class TestIndexFormulas:
     def test_ucb1_example(self):
         # mean .5, z=4, t=e^4 -> 0.5 + sqrt(2) = 1.91421...
-        stats = ArmStats(4, 2.0, 1.0)
-        got = baseline_index("ucb1", stats, math.e ** 4, 1000, 2)
+        got = float(ucb1_index(0.5, 4, math.e ** 4))
         assert got == pytest.approx(1.9142135623730951, abs=1e-9)
 
     def test_moss_clamps_exploration(self):
         # z >= T/K makes the exploration term exactly 0.
-        stats = ArmStats(500, 250.0, 125.0)
-        assert baseline_index("moss", stats, 600, 1000, 2) == pytest.approx(0.5)
+        assert float(moss_index(0.5, 500, 1000, 2)) == pytest.approx(0.5)
 
     def test_ts_beta_flat_prior_is_uniform(self):
+        # An unpulled arm's TS-Beta sample is one Beta(1, 1) cell draw.
         lane = _rng(1)
-        xs = [baseline_index("ts-beta", ArmStats(), t=1, horizon=10, n_arms=2,
-                             params={"rng": lane}) for _ in range(2000)]
-        xs = np.array(xs)
+        ones = np.ones((1, 1))
+        xs = np.array([lane.beta_block(ones, ones)[0, 0] for _ in range(2000)])
         assert (xs > 0).all() and (xs < 1).all()
         assert abs(xs.mean() - 0.5) < 0.03
         assert abs(np.quantile(xs, 0.25) - 0.25) < 0.04
@@ -51,24 +50,29 @@ class TestIndexFormulas:
     @pytest.mark.parametrize("mean,pulls,t", [(0.3, 7, 50), (0.9, 2, 10), (0.07, 40, 60000)])
     def test_against_extended_precision(self, mean, pulls, t):
         var = 0.1
-        stats = ArmStats(pulls, pulls * mean, pulls * (var + mean * mean))
         horizon, n_arms = 60000, 20
-        assert baseline_index("ucb1", stats, t, horizon, n_arms) == pytest.approx(
+        assert float(ucb1_index(mean, pulls, t)) == pytest.approx(
             oracles.ucb1_index(mean, pulls, t), rel=1e-12)
-        assert baseline_index("ucbv", stats, t, horizon, n_arms) == pytest.approx(
+        assert float(ucbv_index(mean, var, pulls, t)) == pytest.approx(
             oracles.ucbv_index(mean, var, pulls, t), rel=1e-12)
-        assert baseline_index("moss", stats, t, horizon, n_arms) == pytest.approx(
+        assert float(moss_index(mean, pulls, horizon, n_arms)) == pytest.approx(
             oracles.moss_index(mean, pulls, horizon, n_arms), rel=1e-12)
-        assert baseline_index("ocucb", stats, t, horizon, n_arms) == pytest.approx(
+        assert float(ocucb_index(mean, pulls, horizon)) == pytest.approx(
             oracles.ocucb_index(mean, pulls, horizon), rel=1e-12)
 
-    def test_unpulled_index_policy_rejected(self):
-        with pytest.raises(UndefinedEstimateError):
-            baseline_index("ucb1", ArmStats(), 10, 100, 2)
-
     def test_round_policies_have_no_index(self):
-        with pytest.raises(ValueError):
-            baseline_index("median-elim", ArmStats(1, 1.0, 1.0), 10, 100, 2)
+        # Round-structured policies sweep the arms in order whatever the
+        # rewards say; an index policy would chase the best mean (arm 3).
+        for pid in ("ucb-improved", "median-elim"):
+            policy = make_batch_policy(pid, 1, 4, 10 ** 5)
+            for arm, reward in enumerate((0.0, 0.1, 0.2, 1.0)):
+                policy.update(np.array([arm]), np.array([reward]))
+            seq = []
+            for t in range(5, 13):
+                arm = int(policy.select(t)[0])
+                seq.append(arm)
+                policy.update(np.array([arm]), np.array([float(arm == 3)]))
+            assert seq == [0, 1, 2, 3, 0, 1, 2, 3], pid
 
 
 class TestKlUcb:
@@ -104,26 +108,36 @@ class TestBayesUcb:
     def test_beta_quantile_matches_scipy(self):
         from scipy import stats as sps
 
-        stats = ArmStats(10, 3.0, 3.0)
         t, horizon = 57, 60000
         level = 1.0 - 1.0 / (t * math.log(horizon))
         want = sps.beta(4.0, 8.0).ppf(level)
-        got = baseline_index("bayes-ucb", stats, t, horizon, 20)
+        got = float(bayes_ucb_index(3.0, 10, t, horizon))
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_gauss_quantile_matches_scipy(self):
         from scipy import stats as sps
 
-        stats = ArmStats(4, 1.2, 0.5)
         t, horizon = 33, 1000
         level = 1.0 - 1.0 / (t * math.log(horizon))
         want = sps.norm(1.2 / 5.0, math.sqrt(1.0 / 5.0)).ppf(level)
-        got = baseline_index("bayes-ucb", stats, t, horizon, 20, {"prior": "gauss"})
+        got = float(bayes_ucb_index(1.2, 4, t, horizon, "gauss"))
         assert got == pytest.approx(want, rel=1e-9)
 
 
+def _oracle_score(pid, mean, variance, pulls, t, horizon, n_arms):
+    if pid == "ucb1":
+        return oracles.ucb1_index(mean, pulls, t)
+    if pid == "ucbv":
+        return oracles.ucbv_index(mean, variance, pulls, t)
+    if pid == "moss":
+        return oracles.moss_index(mean, pulls, horizon, n_arms)
+    if pid == "ocucb":
+        return oracles.ocucb_index(mean, pulls, horizon)
+    return oracles.klucb_index_slow(mean, pulls, t)
+
+
 class TestBatchSelectConsistency:
-    """Batch policies must score arms identically to the scalar dispatcher."""
+    """Batch policies must pick the argmax of the extended-precision indices."""
 
     @pytest.mark.parametrize("pid", ["ucb1", "ucbv", "moss", "ocucb", "klucb-plus"])
     def test_select_is_argmax_of_scalar_indices(self, pid):
@@ -138,8 +152,11 @@ class TestBatchSelectConsistency:
                     policy.update(np.array([arm]),
                                   np.array([float(rng.random() < 0.4)]))
             chosen = int(policy.select(t)[0])
+            means = policy.stats.means()[0]
+            variances = policy.stats.variances()[0]
             scores = [
-                baseline_index(pid, policy.stats.arm_stats(0, a), t, horizon, n_arms)
+                _oracle_score(pid, means[a], variances[a], int(pulls[a]), t,
+                              horizon, n_arms)
                 for a in range(n_arms)
             ]
             best = max(scores)
@@ -186,78 +203,116 @@ class TestTsPolicies:
         assert samples.mean() > 0.75
 
 
+def _replay_against_reference(pid, refs, means, horizon, params=None, seed=29):
+    """Drive the production policy with len(refs) lanes and each scalar
+    reference on the same Bernoulli reward tape; assert equal pulls."""
+    rng = np.random.default_rng(seed)
+    n_lanes, n_arms = len(refs), len(means)
+    batch = make_batch_policy(pid, n_lanes, n_arms, horizon, params)
+    tapes = [rng.random((horizon, n_arms)) < np.array(means) for _ in range(n_lanes)]
+    for t in range(1, horizon + 1):
+        arms = batch.select(t)
+        rewards = []
+        for lane, ref in enumerate(refs):
+            arm = ref.select(t)
+            assert arm == arms[lane], f"diverged at t={t} lane={lane}"
+            r = float(tapes[lane][t - 1, arm])
+            ref.update(arm, r)
+            rewards.append(r)
+        batch.update(arms, np.array(rewards))
+    for lane, ref in enumerate(refs):
+        assert np.array_equal(batch.pull_counts()[lane], ref.pull_counts())
+        want = ref.survivor()
+        assert batch.survivors()[lane] == (-1 if want is None else want)
+    return batch
+
+
 class TestRoundPolicies:
     def test_dmed_initial_sweep_and_refill(self):
-        policy = DmedPolicy(3, 100)
+        policy = make_batch_policy("dmed", 1, 3, 100)
         seq = []
         for t in range(1, 10):
-            arm = policy.select(t)
+            arm = int(policy.select(t)[0])
             seq.append(arm)
-            policy.update(arm, 1.0 if arm == 0 else 0.0)
+            policy.update(np.array([arm]), np.array([1.0 if arm == 0 else 0.0]))
         assert seq[:3] == [0, 1, 2]
         # after the first sweep, only arms passing the divergence gate return
         assert 0 in seq[3:]
 
     def test_dmed_converges_to_best(self):
-        policy = DmedPolicy(3, 4000)
+        policy = make_batch_policy("dmed", 1, 3, 4000)
         rng = np.random.default_rng(21)
         means = (0.7, 0.3, 0.1)
         for t in range(1, 4001):
-            arm = policy.select(t)
-            policy.update(arm, float(rng.random() < means[arm]))
-        assert policy.pull_counts()[0] > 2500
+            arm = int(policy.select(t)[0])
+            policy.update(np.array([arm]), np.array([float(rng.random() < means[arm])]))
+        assert policy.pull_counts()[0, 0] > 2500
 
     def test_dmed_batch_matches_scalar_reference(self):
         # the production (vectorized) dmed must reproduce the scalar queue
         # implementation pull-for-pull
-        rng = np.random.default_rng(29)
-        means = (0.6, 0.5, 0.2, 0.55)
-        batch = make_batch_policy("dmed", 2, 4, 800)
-        scalars = [DmedPolicy(4, 800) for _ in range(2)]
-        tapes = [rng.random((800, 4)) < np.array(means) for _ in range(2)]
-        for t in range(1, 801):
-            arms = batch.select(t)
-            rewards = []
-            for lane, scalar in enumerate(scalars):
-                arm = scalar.select(t)
-                assert arm == arms[lane], f"diverged at t={t} lane={lane}"
-                r = float(tapes[lane][t - 1, arm])
-                scalar.update(arm, r)
-                rewards.append(r)
-            batch.update(arms, np.array(rewards))
-        for lane, scalar in enumerate(scalars):
-            assert np.array_equal(batch.pull_counts()[lane], scalar.pull_counts())
+        refs = [oracles.DmedPolicy(4, 800) for _ in range(2)]
+        _replay_against_reference("dmed", refs, (0.6, 0.5, 0.2, 0.55), 800)
+
+    def test_ucb_improved_batch_matches_scalar_reference(self):
+        horizon = 6000
+        refs = [oracles.UcbImprovedPolicy(4, horizon) for _ in range(3)]
+        batch = _replay_against_reference(
+            "ucb-improved", refs, (0.9, 0.6, 0.3, 0.82), horizon, seed=31)
+        # the tapes exercise several rounds and eliminations down to a
+        # committed lane
+        assert (batch.survivors() >= 0).any()
+        assert max(ref.round for ref in refs) >= 3
+
+    def test_median_elim_batch_matches_scalar_reference(self):
+        params = {"epsilon": 0.9, "delta": 0.9}
+        refs = [oracles.MedianElimPolicy(5, 4000, **params) for _ in range(3)]
+        batch = _replay_against_reference(
+            "median-elim", refs, (0.7, 0.5, 0.4, 0.6, 0.45), 4000, params, seed=37)
+        # quotas 150, 364, 820: 5 -> 3 -> 2 -> 1 arm within the horizon; the
+        # odd rounds keep the arm whose mean is the median
+        assert (batch.survivors() >= 0).all()
+        assert batch._round.tolist() == [3, 3, 3]
+
+    def test_ucb_improved_stops_at_round_cap(self):
+        # T = 695 puts T d^2 just under 4e in the last round (M = 3), whose
+        # quota 306 two equal arms can still reach; no fifth round follows
+        refs = [oracles.UcbImprovedPolicy(2, 695) for _ in range(2)]
+        _replay_against_reference("ucb-improved", refs, (0.5, 0.5), 695, seed=41)
+        assert [ref.round for ref in refs] == [4, 4]
+        assert all(len(ref.active) == 2 for ref in refs)
 
     def test_ucb_improved_round_structure(self):
         horizon = 4000
-        policy = UcbImprovedPolicy(2, horizon)
+        policy = make_batch_policy("ucb-improved", 1, 2, horizon)
         # round 0 quota: ceil(2*ln(T)/1)
-        assert policy._quota == math.ceil(2 * math.log(horizon))
+        assert policy._quotas[0] == math.ceil(2 * math.log(horizon))
         rng = np.random.default_rng(23)
         for t in range(1, horizon + 1):
-            arm = policy.select(t)
-            policy.update(arm, float(rng.random() < (0.9, 0.1)[arm]))
-        assert policy.survivor() == 0
+            arm = int(policy.select(t)[0])
+            policy.update(np.array([arm]), np.array([float(rng.random() < (0.9, 0.1)[arm])]))
+        assert policy.survivors()[0] == 0
         # eliminated arm froze at (or just past) a round boundary
-        assert policy.pull_counts()[1] < horizon / 4
+        assert policy.pull_counts()[0, 1] < horizon / 4
 
     def test_median_elim_drops_half_per_round(self):
-        policy = MedianElimPolicy(4, 10 ** 6, epsilon=0.8, delta=0.5)
-        quota = policy._quota
+        policy = make_batch_policy("median-elim", 1, 4, 10 ** 6,
+                                   {"epsilon": 0.8, "delta": 0.5})
+        quota = int(policy._quotas[0])
         means = (0.9, 0.6, 0.4, 0.1)
         t = 0
-        while len(policy.surviving) == 4:
+        while policy._n_active[0] == 4:
             t += 1
-            arm = policy.select(t)
-            policy.update(arm, means[arm])  # deterministic rewards
+            arm = int(policy.select(t)[0])
+            policy.update(np.array([arm]), np.array([means[arm]]))  # deterministic rewards
             assert t <= 4 * quota + 4
-        assert policy.surviving == [0, 1]
+        assert policy._active[0].tolist() == [True, True, False, False]
         # fresh per-round estimates: round counters were reset
         assert policy._round_counts.sum() == 0
 
     def test_median_elim_parameter_validation(self):
         with pytest.raises(ValueError):
-            MedianElimPolicy(3, 100, epsilon=0.0)
+            make_batch_policy("median-elim", 1, 3, 100, {"epsilon": 0.0})
 
 
 class TestRegistry:
@@ -271,7 +326,7 @@ class TestRegistry:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            make_policy("ucb9000", 2, 100)
+            make_batch_policy("ucb9000", 1, 2, 100)
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError):
@@ -282,7 +337,9 @@ class TestRegistry:
         assert params == {"epsilon": 0.1, "delta": 0.2}
 
     def test_single_run_adapter_contract(self):
-        policy = make_policy("ucb1", 3, 50)
-        assert policy.select(1) == 0
-        policy.update(0, 1.0)
-        assert policy.survivor() is None
+        # a single run is a one-lane batch
+        policy = make_batch_policy("ucb1", 1, 3, 50)
+        assert policy.select(1).tolist() == [0]
+        policy.update(np.array([0]), np.array([1.0]))
+        assert policy.survivors().tolist() == [-1]
+        assert policy.pull_counts().tolist() == [[1, 0, 0]]

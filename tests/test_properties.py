@@ -8,13 +8,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from eucbv.env import derive_run_stream, make_environment
-from eucbv.policies import make_policy
+from eucbv.env import make_environment, sample_rewards_batch
+from eucbv.policies import make_batch_policy
 from eucbv.policies.eucbv import EucbvPolicy, confidence_radius
 from eucbv.policies.kl import klucb_index
-from eucbv.rng import RngStream, StreamBatch, _mix64_np, derive_key, mix64
-from eucbv.simulator import run_once
-from eucbv.stats import ArmStats, record
+from eucbv.rng import StreamBatch, _mix64_np, derive_key, derive_run_stream, mix64
+from eucbv.simulator import checkpoint_times, run_batch
+from eucbv.stats import PullStats
 
 _SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -23,22 +23,27 @@ rewards_01 = st.lists(
 )
 
 
+def _one_cell(rewards):
+    """(mean, variance) of a one-lane, one-arm PullStats fed ``rewards``."""
+    stats = PullStats(1, 1)
+    arm = np.zeros(1, dtype=np.int64)
+    for r in rewards:
+        stats.record(arm, np.array([r]))
+    return float(stats.means()[0, 0]), float(stats.variances()[0, 0])
+
+
 @_SETTINGS
 @given(rewards_01)
 def test_variance_matches_two_pass_oracle(rewards):
-    stats = ArmStats()
-    for r in rewards:
-        stats = record(stats, r)
-    assert abs(stats.variance() - oracles.two_pass_variance(rewards)) <= 1e-10
+    _, v = _one_cell(rewards)
+    assert abs(v - oracles.two_pass_variance(rewards)) <= 1e-10
 
 
 @_SETTINGS
 @given(rewards_01)
 def test_variance_bounded_by_quarter_on_unit_interval(rewards):
-    stats = ArmStats()
-    for r in rewards:
-        stats = record(stats, r)
-    assert 0.0 <= stats.variance() <= 0.25 + 1e-12
+    _, v = _one_cell(rewards)
+    assert 0.0 <= v <= 0.25 + 1e-12
 
 
 @_SETTINGS
@@ -46,13 +51,9 @@ def test_variance_bounded_by_quarter_on_unit_interval(rewards):
 def test_estimates_permutation_invariant(rewards, rnd):
     shuffled = list(rewards)
     rnd.shuffle(shuffled)
-    a, b = ArmStats(), ArmStats()
-    for r in rewards:
-        a = record(a, r)
-    for r in shuffled:
-        b = record(b, r)
-    assert abs(a.mean() - b.mean()) <= 1e-12
-    assert abs(a.variance() - b.variance()) <= 1e-10
+    (ma, va), (mb, vb) = _one_cell(rewards), _one_cell(shuffled)
+    assert abs(ma - mb) <= 1e-12
+    assert abs(va - vb) <= 1e-10
 
 
 @_SETTINGS
@@ -117,29 +118,28 @@ def test_eucbv_simulation_invariants(rnd, seed):
     horizon = rnd.randint(k + 1, 160)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        policy = make_policy("eucbv", k, horizon)
-    rng = derive_run_stream(seed, 0)
+        policy = EucbvPolicy(1, k, horizon)
+    lane = StreamBatch.for_runs(seed, [0])
     gaps = env.gaps
-    state = policy._p.state
+    state = policy.state
     regret = 0.0
     prev_regret = 0.0
     pull_log = []
-    from eucbv.env import sample_reward
 
     for t in range(1, horizon + 1):
-        arm = policy.select(t)
+        arms = policy.select(t)
+        arm = int(arms[0])
         assert state.active[0].any()
         if t > k:
             assert state.active[0, arm], "pulled an eliminated arm"
-        reward = sample_reward(env.arms[arm], rng)
-        policy.update(arm, reward)
+        policy.update(arms, sample_rewards_batch(env, arms, lane))
         pull_log.append(arm)
         assert state.epsilon[0] == 2.0 ** -state.m[0]
         assert state.m[0] <= state.max_rounds + 1
         regret += gaps[arm]
         assert regret >= prev_regret >= 0.0
         prev_regret = regret
-    pulls = policy.pull_counts()
+    pulls = policy.pull_counts()[0]
     assert pulls.sum() == horizon
     assert abs(float(gaps @ pulls) - regret) < 1e-9
     # eliminated arms never pulled again
@@ -156,12 +156,14 @@ def test_run_once_invariants_for_index_policies(rnd, seed):
     env = _random_bernoulli_env(rnd)
     horizon = rnd.randint(env.n_arms, 120)
     pid = rnd.choice(["ucb1", "moss", "ucbv", "ocucb", "dmed"])
-    policy = make_policy(pid, env.n_arms, horizon)
-    trace = run_once(env, policy, horizon, derive_run_stream(seed, 1))
-    assert trace.pulls.sum() == horizon
-    assert (np.diff(trace.regret_curve) >= -1e-12).all()
-    assert trace.regret_curve[0] >= 0.0
-    assert abs(trace.regret_curve[-1] - float(env.gaps @ trace.pulls)) < 1e-9
+    policy = make_batch_policy(pid, 1, env.n_arms, horizon)
+    curves, pulls, _ = run_batch(env, policy, horizon, StreamBatch.for_runs(seed, [1]),
+                                 checkpoint_times(horizon, horizon))
+    curve, pulls = curves[0], pulls[0]
+    assert pulls.sum() == horizon
+    assert (np.diff(curve) >= -1e-12).all()
+    assert curve[0] >= 0.0
+    assert abs(curve[-1] - float(env.gaps @ pulls)) < 1e-9
 
 
 @_SETTINGS
@@ -180,5 +182,6 @@ def test_confidence_radius_monotonicity(v_hat, pulls, log_term, rho):
 @_SETTINGS
 @given(st.integers(min_value=0, max_value=2 ** 32), st.floats(min_value=0, max_value=1))
 def test_bernoulli_reward_support(seed, p):
-    rng = RngStream(derive_key(seed, 0))
-    assert rng.bernoulli(p) in (0.0, 1.0)
+    env = make_environment([("bernoulli", p), ("bernoulli", 0.5)])
+    lane = StreamBatch(np.array([derive_key(seed, 0)], dtype=np.uint64))
+    assert sample_rewards_batch(env, np.array([0]), lane)[0] in (0.0, 1.0)

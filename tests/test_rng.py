@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from eucbv.env import make_environment, sample_rewards_batch
 from eucbv.rng import (
     DOMAIN_POLICY,
     DOMAIN_REWARDS,
@@ -60,18 +61,20 @@ def test_uniforms_block_equals_scalar_sequence():
 
 
 def test_scalar_normal_consumes_two_draws_and_matches_batch():
+    # Box-Muller on the stream's first two scalar uniforms
     s = RngStream(derive_key(13, 0))
-    z = s.normal()
-    assert s.counter == 2
+    u1, u2 = s.uniform(), s.uniform()
+    z = float(np.sqrt(-2.0 * np.log1p(-u1))) * float(np.cos(2.0 * np.pi * u2))
     batch = StreamBatch(np.array([derive_key(13, 0)], dtype=np.uint64))
     assert z == batch.normal_each()[0]
     assert int(batch.counters[0]) == 2
 
 
 def test_bernoulli_consumes_one_draw():
-    s = RngStream(derive_key(13, 1))
-    s.bernoulli(0.4)
-    assert s.counter == 1
+    env = make_environment([("bernoulli", 0.4), ("bernoulli", 0.6)])
+    batch = StreamBatch(np.array([derive_key(13, 1)], dtype=np.uint64))
+    sample_rewards_batch(env, np.array([0]), batch)
+    assert int(batch.counters[0]) == 1
 
 
 def test_uniform_lanes_advances_only_selected():

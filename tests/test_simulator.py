@@ -2,51 +2,60 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from eucbv.env import derive_run_stream, make_environment
-from eucbv.policies import make_policy
-from eucbv.rng import DOMAIN_REWARDS, StreamBatch
+from eucbv.env import make_environment
+from eucbv.policies import POLICY_IDS, BatchPolicy, make_batch_policy
+from eucbv.rng import DOMAIN_POLICY, DOMAIN_REWARDS, StreamBatch
 from eucbv.simulator import (
     checkpoint_times,
     run_batch,
     run_many,
-    run_once,
 )
-from eucbv.policies import make_batch_policy
 
 
-class _FixedArmPolicy:
-    """Always pulls one arm (test stub satisfying the policy contract)."""
+class _FixedArmPolicy(BatchPolicy):
+    """Always pulls one arm, initialization included (test stub)."""
 
     policy_id = "fixed"
 
-    def __init__(self, arm):
+    def __init__(self, arm, n_arms, horizon):
+        super().__init__(1, n_arms, horizon)
         self.arm = arm
 
     def select(self, t):
-        return self.arm
-
-    def update(self, arm, reward):
-        pass
+        return np.full(self.n_runs, self.arm, dtype=np.int64)
 
 
-class _RoundRobinPolicy:
+class _RoundRobinPolicy(BatchPolicy):
     policy_id = "round-robin"
 
-    def __init__(self, n_arms):
-        self.n_arms = n_arms
-
-    def select(self, t):
-        return (t - 1) % self.n_arms
-
-    def update(self, arm, reward):
-        pass
+    def _select(self, t):
+        return np.full(self.n_runs, (t - 1) % self.n_arms, dtype=np.int64)
 
 
 def _expt1_env():
     return make_environment([("bernoulli", 0.07)] * 19 + [("bernoulli", 0.1)])
+
+
+def _gauss_env():
+    return make_environment([("gaussian", 0.5, 0.25)] * 19 + [("gaussian", 1.0, 0.25)])
+
+
+def _policy(pid, lanes, n_arms, horizon, seed, params=None):
+    return make_batch_policy(pid, len(lanes), n_arms, horizon, params,
+                             rng=StreamBatch.for_runs(seed, lanes, DOMAIN_POLICY))
+
+
+def _run(env, policy, horizon, seed, lanes=(0,)):
+    """Replications ``lanes`` as one batch; per-step curves (R, T), pulls."""
+    streams = StreamBatch.for_runs(seed, lanes, DOMAIN_REWARDS)
+    curves, pulls, survivors = run_batch(env, policy, horizon, streams,
+                                         checkpoint_times(horizon, horizon))
+    return curves, pulls, survivors
 
 
 class TestCheckpointTimes:
@@ -62,84 +71,98 @@ class TestCheckpointTimes:
 
 
 class TestRunOnce:
+    """A single replication is a one-lane batch."""
+
     def test_oracle_policy_zero_regret(self):
         env = _expt1_env()
-        trace = run_once(env, _FixedArmPolicy(19), 1000, derive_run_stream(1, 0))
-        assert np.all(trace.regret_curve == 0.0)
+        curves, _, _ = _run(env, _FixedArmPolicy(19, 20, 1000), 1000, 1)
+        assert np.all(curves == 0.0)
 
     def test_fixed_suboptimal_arm_linear_regret(self):
         env = _expt1_env()
-        trace = run_once(env, _FixedArmPolicy(0), 1000, derive_run_stream(1, 0))
-        assert trace.regret_curve[-1] == pytest.approx(1000 * 0.03)
+        curves, _, _ = _run(env, _FixedArmPolicy(0, 20, 1000), 1000, 1)
+        assert curves[0, -1] == pytest.approx(1000 * 0.03)
 
     def test_round_robin_closed_form(self):
         # 20000 pulls spread over 20 arms: 19000 pulls on gap-0.03 arms -> 570.
         env = _expt1_env()
-        trace = run_once(env, _RoundRobinPolicy(20), 20000, derive_run_stream(1, 0))
-        assert trace.regret_curve[-1] == pytest.approx(570.0)
+        curves, _, _ = _run(env, _RoundRobinPolicy(1, 20, 20000), 20000, 1)
+        assert curves[0, -1] == pytest.approx(570.0)
 
     def test_trace_invariants(self):
         env = _expt1_env()
-        policy = make_policy("ucb1", env.n_arms, 500)
-        trace = run_once(env, policy, 500, derive_run_stream(2, 0))
-        assert trace.pulls.sum() == 500
-        assert (np.diff(trace.regret_curve) >= -1e-12).all()
-        assert (trace.regret_curve >= 0).all()
-        recomputed = float(env.gaps @ trace.pulls)
-        assert abs(trace.regret_curve[-1] - recomputed) < 1e-9
+        curves, pulls, _ = _run(env, _policy("ucb1", [0], env.n_arms, 500, 2), 500, 2)
+        curve, pulls = curves[0], pulls[0]
+        assert pulls.sum() == 500
+        assert (np.diff(curve) >= -1e-12).all()
+        assert (curve >= 0).all()
+        recomputed = float(env.gaps @ pulls)
+        assert abs(curve[-1] - recomputed) < 1e-9
 
     def test_horizon_smaller_than_arms_rejected(self):
         env = _expt1_env()
         with pytest.raises(ValueError):
-            run_once(env, _FixedArmPolicy(0), 10, derive_run_stream(1, 0))
+            make_batch_policy("ucb1", 1, env.n_arms, 10)
+
+
+# Horizons and parameters under which the round policies complete rounds.
+# On the Gaussian env ucb-improved reaches rounds 2-3 with some lanes
+# committed and others part-eliminated, median-elim halves 20 arms to 10,
+# and eucbv commits every lane.
+_HORIZON = {"ucb-improved": 1200, "median-elim": 3200}
+_PARAMS = {"median-elim": {"epsilon": 0.9, "delta": 0.9}}
 
 
 class TestBatchEquivalence:
-    @pytest.mark.parametrize("pid", ["eucbv", "ucb1", "moss", "ts-beta", "dmed"])
+    """Lane position and chunk width never change a replication."""
+
+    @pytest.mark.parametrize("pid", POLICY_IDS)
     def test_run_alone_equals_run_in_batch(self, pid):
-        env = _expt1_env()
-        horizon, seed, runs = 400, 77, 8
-        ck = checkpoint_times(horizon, horizon)
-        reward_streams = StreamBatch.for_runs(seed, range(runs), DOMAIN_REWARDS)
-        policy_streams = StreamBatch.for_runs(seed, range(runs), domain=1)
-        batch = make_batch_policy(pid, runs, env.n_arms, horizon, rng=policy_streams)
-        curves, pulls, _ = run_batch(env, batch, horizon, reward_streams, ck)
-        for k in (0, 3, 7):
-            single = make_policy(
-                pid, env.n_arms, horizon,
-                rng=StreamBatch.for_runs(seed, [k], domain=1),
-            )
-            trace = run_once(env, single, horizon, derive_run_stream(seed, k))
-            assert np.array_equal(trace.regret_curve[ck - 1], curves[k])
-            assert np.array_equal(trace.pulls, pulls[k])
+        horizon, seed, runs = _HORIZON.get(pid, 400), 77, 8
+        lanes = list(range(runs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # eucbv: T < K^2.4
+            for env in (_expt1_env(), _gauss_env()):
+                batch = _policy(pid, lanes, env.n_arms, horizon, seed, _PARAMS.get(pid))
+                curves, pulls, survivors = _run(env, batch, horizon, seed, lanes)
+                for k in lanes:
+                    single = _policy(pid, [k], env.n_arms, horizon, seed, _PARAMS.get(pid))
+                    c1, p1, s1 = _run(env, single, horizon, seed, [k])
+                    assert np.array_equal(c1[0], curves[k])
+                    assert np.array_equal(p1[0], pulls[k])
+                    assert s1[0] == survivors[k]
+
+    @pytest.mark.parametrize("pid", POLICY_IDS)
+    def test_chunk_width_does_not_change_lanes(self, pid):
+        horizon, seed = _HORIZON.get(pid, 400), 78
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for env in (_expt1_env(), _gauss_env()):
+                whole = _run(env, _policy(pid, range(8), env.n_arms, horizon, seed,
+                                          _PARAMS.get(pid)), horizon, seed, range(8))
+                parts = [
+                    _run(env, _policy(pid, lanes, env.n_arms, horizon, seed,
+                                      _PARAMS.get(pid)), horizon, seed, lanes)
+                    for lanes in (range(3), range(3, 8))
+                ]
+                for i in range(3):
+                    assert np.array_equal(np.concatenate([p[i] for p in parts]), whole[i])
 
 
 class TestRunMany:
     def test_single_run_mean_equals_trace(self):
         env = _expt1_env()
         agg = run_many(env, ("ucb1", None), 300, 1, 5)
-        policy = make_policy("ucb1", env.n_arms, 300)
-        trace = run_once(env, policy, 300, derive_run_stream(5, 0))
+        curves, _, _ = _run(env, _policy("ucb1", [0], env.n_arms, 300, 5), 300, 5)
         ck = agg.checkpoint_ts
-        assert np.array_equal(agg.mean_regret, trace.regret_curve[ck - 1])
+        assert np.array_equal(agg.mean_regret, curves[0, ck - 1])
         assert np.all(agg.stderr_regret == 0.0)
 
     def test_forced_identical_seeds_zero_stderr(self):
+        # run the same replication twice: two lanes with identical streams
         env = _expt1_env()
-
-        class _SameStream:
-            policy_id = "same-stream"
-
-            def __call__(self, n_arms, horizon, rng):
-                return make_policy("ucb1", n_arms, horizon)
-
-        # run the same replication twice by deriving identical reward streams
-        curves = []
-        for _ in range(2):
-            policy = make_policy("ucb1", env.n_arms, 200)
-            trace = run_once(env, policy, 200, derive_run_stream(9, 0))
-            curves.append(trace.regret_curve)
-        stacked = np.stack(curves)
+        policy = _policy("ucb1", [0, 0], env.n_arms, 200, 9)
+        stacked, _, _ = _run(env, policy, 200, 9, [0, 0])
         assert np.array_equal(stacked[0], stacked[1])
         assert stacked.std(axis=0, ddof=1).max() == 0.0
 
@@ -154,18 +177,6 @@ class TestRunMany:
         assert np.array_equal(serial.mean_regret, parallel.mean_regret)
         assert np.array_equal(serial.stderr_regret, parallel.stderr_regret)
 
-    def test_callable_factory_path(self):
-        env = _expt1_env()
-
-        def factory(n_arms, horizon, rng):
-            return _FixedArmPolicy(env.optimal_index)
-
-        factory.policy_id = "oracle"
-        agg = run_many(env, factory, 150, 3, 13)
-        assert agg.policy_id == "oracle"
-        assert np.all(agg.mean_regret == 0.0)
-        assert agg.run_count == 3
-
     def test_aggregate_matches_manual_reduction(self):
         env = _expt1_env()
         runs, horizon, seed = 7, 250, 21
@@ -173,9 +184,9 @@ class TestRunMany:
         ck = agg.checkpoint_ts
         curves = []
         for k in range(runs):
-            policy = make_policy("ucbv", env.n_arms, horizon)
-            trace = run_once(env, policy, horizon, derive_run_stream(seed, k))
-            curves.append(trace.regret_curve[ck - 1])
+            policy = _policy("ucbv", [k], env.n_arms, horizon, seed)
+            curve, _, _ = _run(env, policy, horizon, seed, [k])
+            curves.append(curve[0, ck - 1])
         stacked = np.stack(curves)
         assert np.array_equal(agg.mean_regret, stacked.mean(axis=0))
         assert np.allclose(agg.stderr_regret,

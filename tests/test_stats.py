@@ -6,75 +6,70 @@ import numpy as np
 import pytest
 
 import oracles
-from eucbv.stats import (
-    ArmStats,
-    PullStats,
-    UndefinedEstimateError,
-    mean_estimate,
-    record,
-    variance_estimate,
-)
+from eucbv.stats import PullStats
 
 
 def _record_all(rewards):
-    stats = ArmStats()
+    """A one-lane, one-arm PullStats fed ``rewards`` in order."""
+    stats = PullStats(1, 1)
+    arm = np.zeros(1, dtype=np.int64)
     for r in rewards:
-        stats = record(stats, r)
+        stats.record(arm, np.array([r], dtype=np.float64))
     return stats
+
+
+def _cell(stats):
+    return float(stats.counts[0, 0]), float(stats.sums[0, 0]), float(stats.sq_sums[0, 0])
+
+
+def _mean(rewards):
+    return float(_record_all(rewards).means()[0, 0])
+
+
+def _variance(rewards):
+    return float(_record_all(rewards).variances()[0, 0])
 
 
 class TestRecord:
     def test_single_one(self):
-        stats = record(ArmStats(), 1.0)
-        assert (stats.pulls, stats.reward_sum, stats.reward_sq_sum) == (1, 1.0, 1.0)
+        assert _cell(_record_all([1.0])) == (1, 1.0, 1.0)
 
     def test_three_binary(self):
-        stats = _record_all([0.0, 1.0, 1.0])
-        assert (stats.pulls, stats.reward_sum, stats.reward_sq_sum) == (3, 2.0, 2.0)
+        assert _cell(_record_all([0.0, 1.0, 1.0])) == (3, 2.0, 2.0)
 
     def test_constant_half_has_zero_variance(self):
         stats = _record_all([0.5] * 10_000)
-        assert mean_estimate(stats) == pytest.approx(0.5, abs=1e-12)
-        assert variance_estimate(stats) == pytest.approx(0.0, abs=1e-12)
+        assert stats.means()[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert stats.variances()[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestMeanEstimate:
     def test_quarter(self):
-        assert mean_estimate(ArmStats(4, 1.0, 1.0)) == 0.25
+        assert _mean([1.0, 0.0, 0.0, 0.0]) == 0.25
 
     def test_single_pull(self):
-        assert mean_estimate(ArmStats(1, 0.7, 0.49)) == 0.7
+        assert _mean([0.7]) == 0.7
 
     def test_two_thirds(self):
-        assert mean_estimate(_record_all([0.0, 1.0, 1.0])) == pytest.approx(2 / 3)
-
-    def test_unpulled_rejected(self):
-        with pytest.raises(UndefinedEstimateError):
-            mean_estimate(ArmStats())
+        assert _mean([0.0, 1.0, 1.0]) == pytest.approx(2 / 3)
 
 
 class TestVarianceEstimate:
     def test_two_point_symmetric(self):
-        assert variance_estimate(_record_all([0.0, 1.0])) == pytest.approx(0.25)
+        assert _variance([0.0, 1.0]) == pytest.approx(0.25)
 
     def test_constant(self):
-        assert variance_estimate(_record_all([0.5] * 3)) == pytest.approx(0.0, abs=1e-15)
+        assert _variance([0.5] * 3) == pytest.approx(0.0, abs=1e-15)
 
     def test_three_of_five(self):
         # oracle: (1/5) * sum((x - 0.6)^2) = (2*0.36 + 3*0.16)/5 = 0.24
-        stats = _record_all([0.0, 0.0, 1.0, 1.0, 1.0])
         assert oracles.two_pass_variance([0, 0, 1, 1, 1]) == pytest.approx(0.24)
-        assert variance_estimate(stats) == pytest.approx(0.24, abs=1e-12)
-
-    def test_unpulled_rejected(self):
-        with pytest.raises(UndefinedEstimateError):
-            variance_estimate(ArmStats())
+        assert _variance([0.0, 0.0, 1.0, 1.0, 1.0]) == pytest.approx(0.24, abs=1e-12)
 
     def test_matches_two_pass_oracle_on_long_sequence(self):
         rng = np.random.default_rng(11)
         rewards = rng.random(10_000)
-        stats = _record_all(rewards.tolist())
-        assert variance_estimate(stats) == pytest.approx(
+        assert _variance(rewards.tolist()) == pytest.approx(
             oracles.two_pass_variance(rewards.tolist()), abs=1e-10
         )
 
@@ -82,30 +77,33 @@ class TestVarianceEstimate:
         rng = np.random.default_rng(12)
         for _ in range(50):
             rewards = rng.random(rng.integers(1, 200))
-            assert variance_estimate(_record_all(rewards.tolist())) <= 0.25 + 1e-12
+            assert _variance(rewards.tolist()) <= 0.25 + 1e-12
 
 
 class TestPullStats:
     def test_matches_scalar_accumulation(self):
+        # every (lane, arm) cell equals a one-cell PullStats fed that cell's
+        # rewards, and the two-pass oracle on them
         ps = PullStats(2, 3)
-        scalar = [[ArmStats() for _ in range(3)] for _ in range(2)]
+        seen = [[[] for _ in range(3)] for _ in range(2)]
         rng = np.random.default_rng(13)
         for _ in range(200):
             arms = rng.integers(0, 3, size=2)
             rewards = rng.random(2)
             ps.record(arms, rewards)
             for lane in range(2):
-                scalar[lane][arms[lane]] = record(scalar[lane][arms[lane]], rewards[lane])
-        for lane in range(2):
-            for arm in range(3):
-                assert ps.arm_stats(lane, arm) == scalar[lane][arm]
+                seen[lane][arms[lane]].append(float(rewards[lane]))
         means = ps.means()
         variances = ps.variances()
         for lane in range(2):
             for arm in range(3):
-                s = scalar[lane][arm]
-                assert means[lane, arm] == pytest.approx(mean_estimate(s))
-                assert variances[lane, arm] == pytest.approx(variance_estimate(s), abs=1e-12)
+                rewards = seen[lane][arm]
+                alone = _record_all(rewards)
+                assert (ps.counts[lane, arm], ps.sums[lane, arm],
+                        ps.sq_sums[lane, arm]) == _cell(alone)
+                assert means[lane, arm] == pytest.approx(sum(rewards) / len(rewards))
+                assert variances[lane, arm] == pytest.approx(
+                    oracles.two_pass_variance(rewards), abs=1e-12)
 
     def test_pull_counts_dtype(self):
         ps = PullStats(1, 2)
