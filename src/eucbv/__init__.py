@@ -2,7 +2,7 @@
 replication harness, regret-bound calculators, and lemma verifiers."""
 
 from .env import ArmModel, Environment, make_environment, sample_rewards_batch
-from .rng import RngStream, StreamBatch, derive_run_stream
+from .rng import StreamBatch
 from .simulator import AggregateCurve, run_batch, run_many
 from .stats import PullStats
 
@@ -13,8 +13,6 @@ __all__ = [
     "Environment",
     "make_environment",
     "sample_rewards_batch",
-    "derive_run_stream",
-    "RngStream",
     "StreamBatch",
     "PullStats",
     "AggregateCurve",

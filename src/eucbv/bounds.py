@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .env import BERNOULLI, ArmModel, Environment
-from .rng import RngStream
+from .rng import StreamBatch
 
 _LN2 = math.log(2.0)
 
@@ -318,7 +318,7 @@ class TailReport:
 
 
 def check_bernstein_tail(arm: ArmModel, pulls: int, epsilon_m: float, psi: float,
-                         horizon: int, rho: float, samples: int, rng: RngStream,
+                         horizon: int, rho: float, samples: int, rng: StreamBatch,
                          side: str = "upper") -> TailReport:
     """Estimate P(mean_hat deviates from the mean by the analysis radius).
 
@@ -327,7 +327,8 @@ def check_bernstein_tail(arm: ArmModel, pulls: int, epsilon_m: float, psi: float
     2/(psi*T*eps_m)^(3*rho/2).  Passes when the empirical frequency does not
     exceed the bound by more than 3 binomial standard errors (computed at the
     bound).  Doubling z can only shrink the true probability, which gives a
-    paired secondary check.
+    paired secondary check.  ``rng`` is a one-lane stream; the check draws
+    ``samples * pulls`` uniforms from it.
     """
     if arm.kind != BERNOULLI:
         raise ValueError("the tail check needs a bounded (Bernoulli) arm")
@@ -340,7 +341,7 @@ def check_bernstein_tail(arm: ArmModel, pulls: int, epsilon_m: float, psi: float
         rho * (arm.variance + math.sqrt(epsilon_m) + 2.0) * log_term / (4.0 * pulls)
     )
     bound = 2.0 / (psi * horizon * epsilon_m) ** (1.5 * rho)
-    draws = rng.uniforms(samples * pulls).reshape(samples, pulls)
+    draws = rng.uniform_block(samples * pulls)[0].reshape(samples, pulls)
     means = (draws < arm.mean).mean(axis=1)
     if side == "upper":
         frequency = float((means > arm.mean + radius).mean())

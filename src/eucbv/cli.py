@@ -29,18 +29,16 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from .config import (
-    DEFAULT_ENV_SEED,
     DEFAULT_MASTER_SEED,
     PRESET_NAMES,
-    ConfigError,
     ConfigParseError,
     ConfigValidationError,
     ExperimentSpec,
     load_config,
     preset_spec,
 )
-from .env import ArmModel, make_environment
-from .rng import RngStream, derive_key
+from .env import ArmModel
+from .rng import StreamBatch
 from .simulator import run_many
 
 EXIT_OK = 0
@@ -168,7 +166,7 @@ def cmd_verify_lemmas(grid: str, tail_samples: int | None, seed: int,
             f"{status}{expected}, worst margin {_fmt(rep.worst_margin)} at {rep.worst_point}"
         )
     if tail_samples:
-        rng = RngStream(derive_key(seed, 0))
+        rng = StreamBatch.for_runs(seed, [0])
         psi = 60000 / 400.0
         report = bounds_mod.check_bernstein_tail(
             ArmModel.bernoulli(0.1), pulls=9, epsilon_m=1.0, psi=psi, horizon=60000,
@@ -227,29 +225,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
+            overrides = dict(runs=args.runs, horizon=args.horizon, master_seed=args.seed,
+                             env_seed=args.env_seed, checkpoints=args.checkpoints)
             if args.config:
-                spec = load_config(args.config)
-                overrides = {}
-                if args.runs is not None:
-                    overrides["runs"] = args.runs
-                if args.horizon is not None:
-                    overrides["horizon"] = args.horizon
-                if args.seed is not None:
-                    overrides["master_seed"] = args.seed
-                if args.env_seed is not None:
-                    overrides["env_seed"] = args.env_seed
-                if args.checkpoints is not None:
-                    overrides["checkpoints"] = args.checkpoints
-                if overrides:
-                    from dataclasses import replace
-
-                    spec = replace(spec, **overrides)
+                spec = load_config(args.config, **overrides)
             else:
-                spec = preset_spec(
-                    args.preset, runs=args.runs, horizon=args.horizon,
-                    master_seed=args.seed, env_seed=args.env_seed,
-                    checkpoints=args.checkpoints,
-                )
+                spec = preset_spec(args.preset, **overrides)
             if args.threads < 1:
                 raise ConfigValidationError("--threads must be >= 1")
             cmd_run(spec, Path(args.out), threads=args.threads)

@@ -27,12 +27,11 @@ all replications.
 from __future__ import annotations
 
 import configparser
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .env import BERNOULLI, GAUSSIAN, make_environment
 from .policies import POLICY_IDS, validate_params
-from .rng import DOMAIN_ENV_GEN, RngStream, derive_key
+from .rng import DOMAIN_ENV_GEN, StreamBatch
 from .simulator import DEFAULT_CHECKPOINTS
 
 DEFAULT_MASTER_SEED = 123456789
@@ -78,8 +77,8 @@ def _group(kind: str, means, variances=None) -> list:
 
 def _env_uniforms(env_seed: int, n: int, lo: float, hi: float) -> list:
     """n frozen Uniform[lo, hi) draws for randomized testbed variances."""
-    rng = RngStream(derive_key(env_seed, 0, DOMAIN_ENV_GEN))
-    return [lo + (hi - lo) * u for u in rng.uniforms(n).tolist()]
+    rng = StreamBatch.for_runs(env_seed, [0], DOMAIN_ENV_GEN)
+    return [lo + (hi - lo) * u for u in rng.uniform_block(n)[0].tolist()]
 
 
 def preset_spec(name: str, *, runs: int | None = None, horizon: int | None = None,
@@ -234,8 +233,15 @@ def _get_int(section, key: str, default=None):
         raise ConfigValidationError(f"[{section.name}] {key} must be an integer, got {raw!r}") from exc
 
 
-def load_config(path: str) -> ExperimentSpec:
-    """Parse and validate an experiment config file."""
+def load_config(path: str, *, runs: int | None = None, horizon: int | None = None,
+                master_seed: int | None = None, env_seed: int | None = None,
+                checkpoints: int | None = None) -> ExperimentSpec:
+    """Parse and validate an experiment config file.
+
+    Each keyword that is not None overrides the file's [experiment] value of
+    the same name before the spec is built and validated, so a preset-based
+    config draws its randomized variances from an overriding ``env_seed``.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -259,6 +265,9 @@ def load_config(path: str) -> ExperimentSpec:
     if bad:
         raise ConfigValidationError(f"unknown [experiment] key(s): {', '.join(sorted(bad))}")
 
+    def number(key, override, default=None):
+        return _get_int(exp, key, default) if override is None else override
+
     env_section = parser["environment"] if "environment" in sections else {}
     if "environment" in sections:
         bad = set(env_section) - _ENVIRONMENT_KEYS
@@ -277,11 +286,11 @@ def load_config(path: str) -> ExperimentSpec:
     if preset is not None:
         base = preset_spec(
             preset,
-            runs=_get_int(exp, "runs"),
-            horizon=_get_int(exp, "horizon"),
-            master_seed=_get_int(exp, "master_seed"),
-            env_seed=_get_int(exp, "env_seed"),
-            checkpoints=_get_int(exp, "checkpoints"),
+            runs=number("runs", runs),
+            horizon=number("horizon", horizon),
+            master_seed=number("master_seed", master_seed),
+            env_seed=number("env_seed", env_seed),
+            checkpoints=number("checkpoints", checkpoints),
         )
         extra = set(env_section) - {"preset"}
         if extra:
@@ -323,8 +332,8 @@ def load_config(path: str) -> ExperimentSpec:
             raise ConfigValidationError("[environment] bernoulli arms derive their variances")
         arms = tuple(_group(BERNOULLI, means))
 
-    horizon = _get_int(exp, "horizon")
-    runs = _get_int(exp, "runs")
+    horizon = number("horizon", horizon)
+    runs = number("runs", runs)
     if horizon is None or runs is None:
         raise ConfigValidationError("[experiment] horizon and runs are required")
     spec = ExperimentSpec(
@@ -332,10 +341,10 @@ def load_config(path: str) -> ExperimentSpec:
         arms=arms,
         horizon=horizon,
         runs=runs,
-        master_seed=_get_int(exp, "master_seed", DEFAULT_MASTER_SEED),
-        env_seed=_get_int(exp, "env_seed", DEFAULT_ENV_SEED),
+        master_seed=number("master_seed", master_seed, DEFAULT_MASTER_SEED),
+        env_seed=number("env_seed", env_seed, DEFAULT_ENV_SEED),
         policies=tuple(policies),
-        checkpoints=_get_int(exp, "checkpoints", DEFAULT_CHECKPOINTS),
+        checkpoints=number("checkpoints", checkpoints, DEFAULT_CHECKPOINTS),
     )
     _validate_spec(spec)
     return spec

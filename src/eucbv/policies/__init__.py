@@ -8,15 +8,7 @@ from __future__ import annotations
 
 from .base import BatchPolicy
 from .bayes import BayesUcbPolicy, TsBetaPolicy, TsGaussPolicy, bayes_ucb_index
-from .eucbv import (
-    EucbvPolicy,
-    EucbvState,
-    confidence_radius,
-    eucbv_advance_round,
-    eucbv_eliminate,
-    eucbv_init,
-    eucbv_select,
-)
+from .eucbv import EucbvPolicy, confidence_radius
 from .indexes import (
     MossPolicy,
     OcucbPolicy,
@@ -55,9 +47,6 @@ PARAM_SPECS = {
     "median-elim": {"epsilon": float, "delta": float},
 }
 
-# Policies that draw from their own random stream.
-RANDOMIZED = ("ts-beta", "ts-gauss")
-
 
 def validate_params(policy_id: str, params: dict) -> dict:
     """Type-check config parameters; unknown keys are errors."""
@@ -81,15 +70,9 @@ def make_batch_policy(policy_id: str, n_runs: int, n_arms: int, horizon: int,
 
 __all__ = [
     "POLICY_IDS",
-    "RANDOMIZED",
     "BatchPolicy",
     "EucbvPolicy",
-    "EucbvState",
     "confidence_radius",
-    "eucbv_init",
-    "eucbv_select",
-    "eucbv_eliminate",
-    "eucbv_advance_round",
     "ucb1_index",
     "ucbv_index",
     "moss_index",

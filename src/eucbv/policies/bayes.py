@@ -42,10 +42,10 @@ class TsBetaPolicy(BatchPolicy):
         if rng is None:
             raise ValueError("ts-beta needs a policy random stream")
         self.successes = np.zeros((n_runs, n_arms), dtype=np.float64)
-        self.failures = np.zeros((n_runs, n_arms), dtype=np.float64)
 
     def _select(self, t):
-        samples = self.rng.beta_block(self.successes + 1.0, self.failures + 1.0)
+        failures = self.stats.counts - self.successes
+        samples = self.rng.beta_block(self.successes + 1.0, failures + 1.0)
         return np.argmax(samples, axis=1)
 
     def _after_update(self, t, arms, rewards):
@@ -55,9 +55,7 @@ class TsBetaPolicy(BatchPolicy):
         if lanes.size:
             u = self.rng.uniform_lanes(lanes)
             outcomes[lanes] = (u < np.clip(rewards[lanes], 0.0, 1.0)).astype(np.float64)
-        rows = np.arange(self.n_runs)
-        self.successes[rows, arms] += outcomes
-        self.failures[rows, arms] += 1.0 - outcomes
+        self.successes[np.arange(self.n_runs), arms] += outcomes
 
 
 class TsGaussPolicy(BatchPolicy):

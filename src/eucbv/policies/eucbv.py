@@ -21,7 +21,7 @@ Logs are natural; log arguments <= 1 clamp to 0 (negative widths and quotas
 are meaningless; the theory's regime T >= K**2.4 never triggers the clamp).
 Ties in argmax/max resolve to the lowest arm index.
 
-All operations act on a batched state (one independent lane per run); the
+Every lane keeps its own round state (m, epsilon, n_m, N_m, active set); the
 single-run case is simply n_runs=1.
 """
 
@@ -29,11 +29,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..stats import PullStats
 from .base import BatchPolicy
 
 _NEG_INF = -np.inf
@@ -44,145 +42,25 @@ def confidence_radius(v_hat, pulls, log_term, rho):
     return np.sqrt(rho * (v_hat + 2.0) * log_term / (4.0 * pulls))
 
 
+def _clamped_log(arg) -> np.ndarray:
+    """log(arg) where arg > 1, else 0."""
+    return np.where(arg > 1.0, np.log(np.maximum(arg, 1.0)), 0.0)
+
+
 def _quota(psi: float, horizon: int, epsilon) -> np.ndarray:
     """Per-arm round quota n_m = ceil(clamped_log(psi*T*eps^2) / (2 eps))."""
-    arg = psi * horizon * epsilon * epsilon
-    logs = np.where(arg > 1.0, np.log(np.maximum(arg, 1.0)), 0.0)
+    logs = _clamped_log(psi * horizon * epsilon * epsilon)
     return np.ceil(logs / (2.0 * epsilon)).astype(np.int64)
 
 
-@dataclass
-class EucbvState:
-    """Round state for a batch of independent EUCBV lanes."""
-
-    n_runs: int
-    n_arms: int
-    horizon: int
-    rho: float
-    psi: float
-    radius_eps_power: int                 # epsilon power inside the radius log
-    max_rounds: int                       # M; rounds never exceed M+1
-    m: np.ndarray                         # (R,) round index
-    epsilon: np.ndarray                   # (R,) 2**-m, exact
-    quota: np.ndarray                     # (R,) n_m
-    deadline: np.ndarray                  # (R,) N_m
-    active: np.ndarray                    # (R, K) bool
-    stats: PullStats
-    t: int = 0                            # pulls completed
-    log_conf: np.ndarray = field(default=None)  # (R,) clamped radius log term
-
-    def active_counts(self) -> np.ndarray:
-        return self.active.sum(axis=1)
-
-
-def _radius_log(state: EucbvState, epsilon: np.ndarray) -> np.ndarray:
-    args = state.psi * state.horizon * epsilon ** state.radius_eps_power
-    return np.where(args > 1.0, np.log(np.maximum(args, 1.0)), 0.0)
-
-
-def eucbv_init(n_arms: int, horizon: int, rho: float = 0.5, psi: float | None = None,
-               n_runs: int = 1, radius_eps_power: int = 2) -> EucbvState:
-    """Fresh state: m=0, eps=1, all arms active, n_0, N_0 = K*n_0, M.
-
-    psi defaults to T/K^2.  Rejects T <= K (the initialization pulls would
-    not fit) and non-positive rho/psi; warns when T < K**2.4, where the
-    gap-dependent guarantee lapses.
-    """
-    if n_arms < 2:
-        raise ValueError("EUCBV needs at least 2 arms")
-    if horizon <= n_arms:
-        raise ValueError(f"horizon {horizon} too small for {n_arms} arms (need T >= K+1)")
-    if psi is None:
-        psi = horizon / (n_arms * n_arms)
-    if rho <= 0.0 or psi <= 0.0:
-        raise ValueError("rho and psi must be positive")
-    if radius_eps_power not in (1, 2):
-        raise ValueError("radius_eps_power must be 1 or 2")
-    if horizon < n_arms ** 2.4:
-        warnings.warn(
-            f"T={horizon} < K^2.4={n_arms ** 2.4:.0f}: the regret guarantee does not apply",
-            stacklevel=2,
-        )
-    max_rounds = math.floor(0.5 * math.log2(horizon / math.e))
-    eps = np.ones(n_runs, dtype=np.float64)
-    quota = _quota(psi, horizon, eps)
-    state = EucbvState(
-        n_runs=n_runs,
-        n_arms=n_arms,
-        horizon=horizon,
-        rho=rho,
-        psi=psi,
-        radius_eps_power=radius_eps_power,
-        max_rounds=max_rounds,
-        m=np.zeros(n_runs, dtype=np.int64),
-        epsilon=eps,
-        quota=quota,
-        deadline=n_arms * quota,
-        active=np.ones((n_runs, n_arms), dtype=bool),
-        stats=PullStats(n_runs, n_arms),
-    )
-    state.log_conf = _radius_log(state, eps)
-    return state
-
-
-def _radii(state: EucbvState) -> tuple:
-    means = state.stats.means()
-    conf = confidence_radius(
-        state.stats.variances(), state.stats.counts, state.log_conf[:, None], state.rho
-    )
-    return means, conf
-
-
-def eucbv_select(state: EucbvState) -> np.ndarray:
-    """Per-lane arm maximizing mean + confidence over the active set.
-
-    Ties resolve to the lowest index; a lane whose active set is a singleton
-    returns that arm without touching the indices.
-    """
-    counts = state.active_counts()
-    if counts.max() == 1:
-        return np.argmax(state.active, axis=1)
-    means, conf = _radii(state)
-    scores = np.where(state.active, means + conf, _NEG_INF)
-    return np.argmax(scores, axis=1)
-
-
-def eucbv_eliminate(state: EucbvState, lanes: np.ndarray | None = None) -> EucbvState:
-    """Remove active arms whose UCB falls strictly below the best active LCB.
-
-    The max runs over all active arms including the candidate itself, so the
-    arm attaining the best LCB always survives (its UCB >= its LCB).
-    """
-    means, conf = _radii(state)
-    ucb = means + conf
-    lcb_best = np.where(state.active, means - conf, _NEG_INF).max(axis=1)
-    drop = state.active & (ucb < lcb_best[:, None])
-    if lanes is not None:
-        drop &= lanes[:, None]
-    state.active &= ~drop
-    return state
-
-
-def eucbv_advance_round(state: EucbvState, t: int,
-                        lanes: np.ndarray | None = None) -> EucbvState:
-    """Round reset for lanes with t >= N_m and m <= M: halve epsilon, set
-    n_{m+1}, N_{m+1} = t + |B| * n_{m+1}, increment m.  Otherwise no-op."""
-    adv = (t >= state.deadline) & (state.m <= state.max_rounds)
-    if lanes is not None:
-        adv &= lanes
-    if not adv.any():
-        return state
-    state.epsilon[adv] *= 0.5
-    new_quota = _quota(state.psi, state.horizon, state.epsilon[adv])
-    state.quota[adv] = new_quota
-    state.deadline[adv] = t + state.active[adv].sum(axis=1) * new_quota
-    state.m[adv] += 1
-    state.log_conf[adv] = _radius_log(state, state.epsilon[adv])
-    return state
-
-
 class EucbvPolicy(BatchPolicy):
-    """EUCBV behind the sequential policy contract."""
+    """EUCBV: per-lane rounds, variance-aware radius, arm elimination.
+
+    Starts every lane at m=0, eps=1, all arms active, n_0, N_0 = K*n_0, with
+    the round cap M.  psi defaults to T/K^2.  Rejects T <= K (the
+    initialization pulls would leave no step to select) and non-positive
+    rho/psi; warns when T < K**2.4, where the gap-dependent guarantee lapses.
+    """
 
     policy_id = "eucbv"
 
@@ -190,25 +68,85 @@ class EucbvPolicy(BatchPolicy):
                  rho: float = 0.5, psi: float | None = None,
                  radius_eps_power: int = 2):
         super().__init__(n_runs, n_arms, horizon, rng)
-        self.state = eucbv_init(n_arms, horizon, rho=rho, psi=psi, n_runs=n_runs,
-                                radius_eps_power=radius_eps_power)
-        self.stats = self.state.stats  # shared accumulator
+        if horizon <= n_arms:
+            raise ValueError(f"horizon {horizon} too small for {n_arms} arms (need T >= K+1)")
+        if psi is None:
+            psi = horizon / (n_arms * n_arms)
+        if rho <= 0.0 or psi <= 0.0:
+            raise ValueError("rho and psi must be positive")
+        if radius_eps_power not in (1, 2):
+            raise ValueError("radius_eps_power must be 1 or 2")
+        if horizon < n_arms ** 2.4:
+            warnings.warn(
+                f"T={horizon} < K^2.4={n_arms ** 2.4:.0f}: the regret guarantee does not apply",
+                stacklevel=2,
+            )
+        self.rho = rho
+        self.psi = psi
+        self.radius_eps_power = radius_eps_power      # epsilon power inside the radius log
+        self.max_rounds = math.floor(0.5 * math.log2(horizon / math.e))  # M
+        self.m = np.zeros(n_runs, dtype=np.int64)     # (R,) round index
+        self.epsilon = np.ones(n_runs, dtype=np.float64)  # (R,) 2**-m, exact
+        self.quota = _quota(psi, horizon, self.epsilon)   # (R,) n_m
+        self.deadline = n_arms * self.quota           # (R,) N_m
+        self.log_conf = self._radius_log(self.epsilon)    # (R,) clamped radius log
+        self.active = np.ones((n_runs, n_arms), dtype=bool)
+
+    def _radius_log(self, epsilon: np.ndarray) -> np.ndarray:
+        return _clamped_log(self.psi * self.horizon * epsilon ** self.radius_eps_power)
+
+    def _radius(self) -> np.ndarray:
+        """Confidence radius of every (lane, arm) cell under its lane's round."""
+        return confidence_radius(
+            self.stats.variances(), self.stats.counts, self.log_conf[:, None], self.rho
+        )
 
     def _select(self, t: int) -> np.ndarray:
-        return eucbv_select(self.state)
+        """Per-lane arm maximizing mean + radius over the active set.
+
+        Ties resolve to the lowest index; when every lane's active set is a
+        singleton the indices are not computed.
+        """
+        if self.active.sum(axis=1).max() == 1:
+            return np.argmax(self.active, axis=1)
+        scores = np.where(self.active, self.stats.means() + self._radius(), _NEG_INF)
+        return np.argmax(scores, axis=1)
 
     def _after_update(self, t: int, arms: np.ndarray, rewards: np.ndarray) -> None:
-        self.state.t = t
         if t <= self.n_arms:
             return  # initialization phase: no elimination, no round resets
         # A lane already committed before this step only pulls; a lane that
         # becomes a singleton during this step still runs this step's checks.
-        not_committed = self.state.active_counts() > 1
-        if not_committed.any():
-            eucbv_eliminate(self.state, not_committed)
-            eucbv_advance_round(self.state, t, not_committed)
+        lanes = self.active.sum(axis=1) > 1
+        if lanes.any():
+            self._eliminate(lanes)
+            self._advance_round(t, lanes)
+
+    def _eliminate(self, lanes: np.ndarray) -> None:
+        """In ``lanes``, remove active arms whose UCB falls strictly below the
+        best active LCB.
+
+        The max runs over all active arms including the candidate itself, so
+        the arm attaining the best LCB always survives (its UCB >= its LCB).
+        """
+        means = self.stats.means()
+        conf = self._radius()
+        lcb_best = np.where(self.active, means - conf, _NEG_INF).max(axis=1)
+        self.active &= ~(lanes[:, None] & (means + conf < lcb_best[:, None]))
+
+    def _advance_round(self, t: int, lanes: np.ndarray) -> None:
+        """Round reset for the lanes in ``lanes`` with t >= N_m and m <= M:
+        halve epsilon, set n_{m+1}, N_{m+1} = t + |B| * n_{m+1}, increment m."""
+        adv = lanes & (t >= self.deadline) & (self.m <= self.max_rounds)
+        if not adv.any():
+            return
+        self.epsilon[adv] *= 0.5
+        quota = _quota(self.psi, self.horizon, self.epsilon[adv])
+        self.quota[adv] = quota
+        self.deadline[adv] = t + self.active[adv].sum(axis=1) * quota
+        self.m[adv] += 1
+        self.log_conf[adv] = self._radius_log(self.epsilon[adv])
 
     def survivors(self) -> np.ndarray:
-        counts = self.state.active_counts()
-        only = np.argmax(self.state.active, axis=1)
-        return np.where(counts == 1, only, -1).astype(np.int64)
+        only = np.argmax(self.active, axis=1)
+        return np.where(self.active.sum(axis=1) == 1, only, -1).astype(np.int64)

@@ -70,55 +70,24 @@ def derive_key(master_seed: int, run_index: int, domain: int = DOMAIN_REWARDS) -
     return mix64(mix64(mix64(master_seed & _MASK64) ^ (run_index & _MASK64)) ^ domain)
 
 
-def _uniforms_from(key: np.uint64, start: int, n: int) -> np.ndarray:
-    """Uniforms for draw indices start+1 .. start+n of the stream ``key``."""
-    js = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    bits = _mix64_np(key + js * _NP_GOLDEN)
-    return (bits >> _NP_11) * _INV_2_53
+def _uniforms(keys: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) for draw numbers ``js`` of the streams ``keys``
+    (uint64 arrays, broadcast against each other): the top 53 bits of
+    ``mix64(key + j * GOLDEN)``."""
+    return (_mix64_np(keys + js * _NP_GOLDEN) >> _NP_11) * _INV_2_53
 
 
-class RngStream:
-    """A single counter-based stream (one owner; never shared).
-
-    ``counter`` records how many draws have been consumed; replaying from the
-    same key always yields the same sequence.
-    """
-
-    __slots__ = ("key", "counter")
-
-    def __init__(self, key: int, counter: int = 0):
-        self.key = key & _MASK64
-        self.counter = counter
-
-    def uniform(self) -> float:
-        """One uniform draw in [0, 1)."""
-        self.counter += 1
-        bits = mix64((self.key + self.counter * _GOLDEN) & _MASK64)
-        return (bits >> 11) * _INV_2_53
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """``n`` uniform draws as a float64 array (same values as n calls)."""
-        out = _uniforms_from(np.uint64(self.key), self.counter, n)
-        self.counter += n
-        return out
-
-
-def derive_run_stream(master_seed: int, run_index: int,
-                      domain: int = DOMAIN_REWARDS) -> RngStream:
-    """Stream for one replication: a fixed hash of (master_seed, run_index).
-
-    Independent of how many replications are requested and of execution
-    order; ``domain`` separates reward draws from policy-internal draws.
-    """
-    return RngStream(derive_key(master_seed, run_index, domain))
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Standard normals from pairs of uniforms in [0, 1)."""
+    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(_TWO_PI * u2)
 
 
 class StreamBatch:
     """One counter-based stream per lane (lane = one replication).
 
     All draw methods advance only the counters of the lanes they draw for, so
-    a lane's sequence of values is identical to running that lane's
-    :class:`RngStream` alone.  That property is what makes batched execution
+    a lane's sequence of values is identical to running that lane alone (a
+    one-lane batch).  That property is what makes batched execution
     bit-equivalent to serial per-run execution.
     """
 
@@ -139,40 +108,33 @@ class StreamBatch:
     def uniform_each(self) -> np.ndarray:
         """One uniform per lane; shape (R,)."""
         self.counters += np.uint64(1)
-        bits = _mix64_np(self.keys + self.counters * _NP_GOLDEN)
-        return (bits >> _NP_11) * _INV_2_53
+        return _uniforms(self.keys, self.counters)
 
     def uniform_lanes(self, lanes: np.ndarray) -> np.ndarray:
         """One uniform for each lane index in ``lanes`` only."""
         self.counters[lanes] += np.uint64(1)
-        bits = _mix64_np(self.keys[lanes] + self.counters[lanes] * _NP_GOLDEN)
-        return (bits >> _NP_11) * _INV_2_53
+        return _uniforms(self.keys[lanes], self.counters[lanes])
 
     def uniform_block(self, n: int) -> np.ndarray:
         """``n`` uniforms per lane; shape (R, n); lane r's draws are sequential."""
-        js = self.counters[:, None] + np.arange(1, n + 1, dtype=np.uint64)[None, :]
-        self.counters += np.uint64(n)
-        bits = _mix64_np(self.keys[:, None] + js * _NP_GOLDEN)
-        return (bits >> _NP_11) * _INV_2_53
+        return self._uniform_block_rows(slice(None), n)
 
     def normal_each(self) -> np.ndarray:
         """One standard normal per lane (2 uniforms each)."""
         u = self.uniform_block(2)
-        r = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-        return r * np.cos(_TWO_PI * u[:, 1])
+        return _box_muller(u[:, 0], u[:, 1])
 
     def normal_block(self, n: int) -> np.ndarray:
         """``n`` standard normals per lane; shape (R, n); 2n uniforms per lane."""
         u = self.uniform_block(2 * n)
-        r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
-        return r * np.cos(_TWO_PI * u[:, 1::2])
+        return _box_muller(u[:, 0::2], u[:, 1::2])
 
-    def _uniform_block_rows(self, rows: np.ndarray, n: int) -> np.ndarray:
-        """``n`` uniforms for each lane in ``rows`` only; shape (len(rows), n)."""
+    def _uniform_block_rows(self, rows, n: int) -> np.ndarray:
+        """``n`` uniforms for each lane in ``rows`` (an index array or slice)
+        only; shape (len(rows), n)."""
         js = self.counters[rows, None] + np.arange(1, n + 1, dtype=np.uint64)[None, :]
         self.counters[rows] += np.uint64(n)
-        bits = _mix64_np(self.keys[rows, None] + js * _NP_GOLDEN)
-        return (bits >> _NP_11) * _INV_2_53
+        return _uniforms(self.keys[rows, None], js)
 
     def gamma_block(self, shape: np.ndarray) -> np.ndarray:
         """Gamma(shape, 1) per cell of an (R, C) shape array, shapes >= 1.
@@ -195,8 +157,7 @@ class StreamBatch:
         with np.errstate(divide="ignore", invalid="ignore"):
             while rows.size:
                 u = self._uniform_block_rows(rows, 3 * n_cols)
-                x = np.sqrt(-2.0 * np.log1p(-u[:, :n_cols]))
-                x *= np.cos(_TWO_PI * u[:, n_cols:2 * n_cols])
+                x = _box_muller(u[:, :n_cols], u[:, n_cols:2 * n_cols])
                 dd = d[rows]
                 v = (1.0 + c[rows] * x) ** 3
                 accept = pending[rows] & (v > 0.0) & (

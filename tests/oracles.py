@@ -5,7 +5,10 @@ or plain-Python brute force, never against the library's own float paths, so
 an implementation bug cannot cancel out of both sides of an assertion.  The
 one exception is the per-run round-policy references at the end (DMED,
 UCB-Improved, Median Elimination): they share only ``kl_bernoulli`` with the
-library, so the lane-vectorized policies can be checked pull for pull.
+library, so the lane-vectorized policies can be checked pull for pull.  The
+scalar stream ``RngStream`` shares only ``mix64`` with the library: it draws
+one Python-int value at a time, so ``StreamBatch`` can be checked draw for
+draw.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 from mpmath import mp, mpf
 
 from eucbv.policies.kl import kl_bernoulli as _kl_bernoulli
+from eucbv.rng import mix64
 
 mp.dps = 50
 
@@ -115,6 +119,67 @@ def lemma1_ratio(n_arms, horizon, m, rho=0.5) -> float:
 
 def bernstein_bound(psi, horizon, epsilon, rho) -> float:
     return float(2 / (mpf(psi) * horizon * mpf(epsilon)) ** (3 * mpf(rho) / 2))
+
+
+# Scalar stream reference: the counter-based stream of ``eucbv.rng`` drawn
+# one Python-int splitmix64 value at a time.
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_INV_2_53 = 2.0 ** -53
+
+
+class RngStream:
+    """A single counter-based stream (one owner; never shared).
+
+    ``counter`` records how many draws have been consumed; replaying from the
+    same key always yields the same sequence.
+    """
+
+    __slots__ = ("key", "counter")
+
+    def __init__(self, key: int, counter: int = 0):
+        self.key = key & _MASK64
+        self.counter = counter
+
+    def uniform(self) -> float:
+        """One uniform draw in [0, 1)."""
+        self.counter += 1
+        bits = mix64((self.key + self.counter * _GOLDEN) & _MASK64)
+        return (bits >> 11) * _INV_2_53
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """``n`` uniform draws as a float64 array (``n`` calls of uniform)."""
+        return np.array([self.uniform() for _ in range(n)], dtype=np.float64)
+
+
+def box_muller(u1: float, u2: float) -> float:
+    """Standard normal from two uniforms in [0, 1)."""
+    return float(np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2))
+
+
+def gamma_row(stream: RngStream, shape) -> np.ndarray:
+    """One lane of ``StreamBatch.gamma_block``: Marsaglia-Tsang trials, each
+    drawing 3*C uniforms from ``stream`` (a u1 block, a u2 block and a u3
+    block, with normals from u1/u2 pairs), until every cell has accepted;
+    a cell keeps its first accepted value."""
+    shape = np.asarray(shape, dtype=np.float64)
+    n = shape.size
+    d = shape - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * d)
+    out = np.full(n, np.nan)
+    pending = np.ones(n, dtype=bool)
+    while pending.any():
+        u = stream.uniforms(3 * n)
+        x = np.array([box_muller(u[i], u[n + i]) for i in range(n)])
+        v = (1.0 + c * x) ** 3
+        for i in range(n):
+            if pending[i] and v[i] > 0.0 and (
+                    np.log(u[2 * n + i]) < 0.5 * x[i] * x[i] + d[i] - d[i] * v[i]
+                    + d[i] * np.log(v[i])):
+                out[i] = d[i] * v[i]
+                pending[i] = False
+    return out
 
 
 # Per-run scalar transcriptions of the round-structured policies: one

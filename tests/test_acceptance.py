@@ -21,7 +21,6 @@ import pytest
 import oracles
 from test_eucbv_trace import (
     TAPE,
-    engine_trajectory_ops,
     engine_trajectory_policy,
     reference_trajectory,
 )
@@ -36,7 +35,7 @@ from eucbv.bounds import (
 )
 from eucbv.env import ArmModel, make_environment, sample_rewards_batch
 from eucbv.policies import EucbvPolicy
-from eucbv.rng import RngStream, StreamBatch, derive_key
+from eucbv.rng import StreamBatch
 from eucbv.stats import PullStats
 
 
@@ -129,13 +128,11 @@ def test_criterion_4_trace_oracle():
     psi = horizon / n_arms ** 2
     ref = reference_trajectory(n_arms, horizon, 0.5, psi, TAPE)
     via_policy = engine_trajectory_policy(n_arms, horizon, TAPE)
-    via_ops = engine_trajectory_ops(n_arms, horizon, TAPE)
     _, elims, advances, survivor, counts = ref
-    ok = via_policy == ref and via_ops == ref
+    ok = via_policy == ref
     print(f"\n[criterion 4] {'PASS' if ok else 'FAIL'} — trajectory match; "
           f"eliminations {elims}, resets {advances}, survivor {survivor}")
     assert via_policy == ref
-    assert via_ops == ref
     assert elims and len(advances) >= 2 and survivor == 0
     assert sum(counts) == horizon
 
@@ -173,10 +170,9 @@ def test_criterion_5_invariant_suite():
             warnings.simplefilter("ignore")
             policy = EucbvPolicy(1, env.n_arms, horizon)
         stream = StreamBatch.for_runs(777, [case])
-        state = policy.state
         regret = 0.0
         prev = 0.0
-        last_active = state.active[0].copy()
+        last_active = policy.active[0].copy()
         dead_counts = {}
         for t in range(1, horizon + 1):
             arms = policy.select(t)
@@ -184,17 +180,17 @@ def test_criterion_5_invariant_suite():
             if t > env.n_arms:
                 assert last_active[arm], "pulled an eliminated arm"
             policy.update(arms, sample_rewards_batch(env, arms, stream))
-            assert state.epsilon[0] == 2.0 ** -state.m[0]   # exact halving
-            assert state.m[0] <= state.max_rounds + 1
-            assert state.active[0].any()                     # never empty
-            for dead in np.nonzero(~state.active[0])[0]:
+            assert policy.epsilon[0] == 2.0 ** -policy.m[0]  # exact halving
+            assert policy.m[0] <= policy.max_rounds + 1
+            assert policy.active[0].any()                    # never empty
+            for dead in np.nonzero(~policy.active[0])[0]:
                 d = int(dead)
-                dead_counts.setdefault(d, state.stats.counts[0, d])
-                assert state.stats.counts[0, d] == dead_counts[d]  # frozen
+                dead_counts.setdefault(d, policy.stats.counts[0, d])
+                assert policy.stats.counts[0, d] == dead_counts[d]  # frozen
             regret += env.gaps[arm]
             assert 0.0 <= prev <= regret + 1e-12             # non-decreasing
             prev = regret
-            last_active = state.active[0].copy()
+            last_active = policy.active[0].copy()
         pulls = policy.pull_counts()[0]
         assert pulls.sum() == horizon                        # conservation
         assert abs(float(env.gaps @ pulls) - regret) < 1e-9  # identity
@@ -244,7 +240,7 @@ def test_criterion_8_concentration_check():
     report = check_bernstein_tail(
         ArmModel.bernoulli(0.1), pulls=9, epsilon_m=1.0, psi=150.0,
         horizon=60000, rho=0.5, samples=100_000,
-        rng=RngStream(derive_key(20250102, 0)),
+        rng=StreamBatch.for_runs(20250102, [0]),
     )
     elapsed = time.perf_counter() - t0
     ok = report.ok and elapsed < 60.0

@@ -231,6 +231,36 @@ class TestCli:
         assert main(["run", "--config", _write(tmp_path, text), "--out", str(out)]) == 3
         assert not out.exists() or not any(out.iterdir())
 
+    def test_config_overrides_are_validated(self, tmp_path):
+        path = _write(tmp_path, MINIMAL)
+        for flag, value in (("--checkpoints", "0"), ("--runs", "0"), ("--horizon", "2")):
+            out = tmp_path / f"out{flag}"
+            assert main(["run", "--config", path, flag, value, "--out", str(out)]) == 3
+            assert not out.exists()
+
+    def test_env_seed_overrides_preset_config(self, tmp_path):
+        text = """\
+[experiment]
+name = mini3
+horizon = 600
+runs = 2
+checkpoints = 3
+
+[environment]
+preset = expt3
+
+[policy.ucbv]
+"""
+        # by T=600 the drawn variances change which arms ucbv pulls
+        path = _write(tmp_path, text)
+        assert load_config(path, env_seed=1).arms == preset_spec("expt3", env_seed=1).arms
+        summaries = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            assert main(["run", "--config", path, "--env-seed", seed, "--out", str(out)]) == 0
+            summaries.append((out / "mini3_summary.csv").read_bytes())
+        assert summaries[0] != summaries[1]
+
     def test_parse_exit_code(self, tmp_path):
         bad = _write(tmp_path, "[experiment\n")
         assert main(["run", "--config", bad, "--out", str(tmp_path)]) == 2

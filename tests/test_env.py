@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from eucbv.env import ArmModel, make_environment, sample_rewards_batch
-from eucbv.rng import RngStream, StreamBatch, derive_key, derive_run_stream
+from eucbv.rng import StreamBatch, derive_key
+from oracles import RngStream
 
 
 def _lane(seed, run=0):
@@ -104,9 +105,8 @@ class TestSampleReward:
 
     def test_bernoulli_law_of_large_numbers(self):
         # Oracle: direct Monte-Carlo at 1e6 draws concentrates within 1e-3.
-        rng = derive_run_stream(2024, 0)
         n = 10 ** 6
-        mean = np.mean([rewards for rewards in (rng.uniforms(n) < 0.1,)][0])
+        mean = np.mean(_lane(2024).uniform_block(n)[0] < 0.1)
         assert abs(mean - 0.1) < 1e-3
         # and through the batched sampler on a smaller sample
         env = make_environment([("bernoulli", 0.1), ("bernoulli", 0.5)])
@@ -118,7 +118,7 @@ class TestSampleReward:
         p, n, trials = 0.3, 10 ** 5, 50
         ok = 0
         for k in range(trials):
-            u = derive_run_stream(77, k).uniforms(n)
+            u = _lane(77, k).uniform_block(n)[0]
             ok += abs((u < p).mean() - p) <= 4.0 * np.sqrt(p * (1 - p) / n)
         assert ok >= int(0.99 * trials)
 
@@ -145,18 +145,18 @@ class TestSampleReward:
 
 class TestDeriveRunStream:
     def test_replay_is_bit_identical(self):
-        a = derive_run_stream(42, 7).uniforms(1000)
-        b = derive_run_stream(42, 7).uniforms(1000)
+        a = _lane(42, 7).uniform_block(1000)
+        b = _lane(42, 7).uniform_block(1000)
         assert np.array_equal(a, b)
 
     def test_distinct_runs_distinct_samples(self):
-        a = derive_run_stream(42, 0).uniforms(100)
-        b = derive_run_stream(42, 1).uniforms(100)
+        a = _lane(42, 0).uniform_block(100)
+        b = _lane(42, 1).uniform_block(100)
         assert not np.array_equal(a, b)
 
     def test_independent_of_replication_count(self):
         # Nothing but (seed, k) enters the derivation.
-        assert derive_run_stream(42, 3).key == derive_run_stream(42, 3).key
+        assert _lane(42, 3).keys[0] == StreamBatch.for_runs(42, range(10)).keys[3]
 
 
 class TestBatchSampling:

@@ -1,4 +1,5 @@
-"""Operation-level tests for the EUCBV state machine."""
+"""Operation-level tests for EUCBV's round policy, selection, elimination and
+round reset, on one-lane policies with injected statistics."""
 
 from __future__ import annotations
 
@@ -9,197 +10,213 @@ import numpy as np
 import pytest
 
 import oracles
-from eucbv.policies import (
-    EucbvPolicy,
-    confidence_radius,
-    eucbv_advance_round,
-    eucbv_eliminate,
-    eucbv_init,
-    eucbv_select,
-)
+from eucbv.policies import EucbvPolicy, confidence_radius
+
+LANE = np.ones(1, dtype=bool)  # the one lane of a one-lane policy
 
 
-def _set_arm(state, arm, pulls, mean, v_hat, lane=0):
+def _policy(n_arms, horizon, **kw):
+    return EucbvPolicy(1, n_arms, horizon, **kw)
+
+
+def _set_arm(policy, arm, pulls, mean, v_hat, lane=0):
     """Inject sufficient statistics realizing (pulls, mean, v_hat)."""
-    state.stats.counts[lane, arm] = pulls
-    state.stats.sums[lane, arm] = pulls * mean
-    state.stats.sq_sums[lane, arm] = pulls * (v_hat + mean * mean)
+    policy.stats.counts[lane, arm] = pulls
+    policy.stats.sums[lane, arm] = pulls * mean
+    policy.stats.sq_sums[lane, arm] = pulls * (v_hat + mean * mean)
+
+
+def _select(policy):
+    """Lane 0's choice at the first step after the initialization pulls."""
+    return int(policy.select(policy.n_arms + 1)[0])
 
 
 class TestInit:
     def test_expt1_scale(self):
-        state = eucbv_init(20, 60000)
-        assert state.psi == pytest.approx(150.0)
-        assert state.quota[0] == 9 == oracles.round_quota(150, 60000, 1.0)
-        assert state.deadline[0] == 180
-        assert state.max_rounds == 7 == oracles.round_cap(60000)
-        assert state.epsilon[0] == 1.0
-        assert state.m[0] == 0
-        assert state.active.all()
+        policy = _policy(20, 60000)
+        assert policy.psi == pytest.approx(150.0)
+        assert policy.quota[0] == 9 == oracles.round_quota(150, 60000, 1.0)
+        assert policy.deadline[0] == 180
+        assert policy.max_rounds == 7 == oracles.round_cap(60000)
+        assert policy.epsilon[0] == 1.0
+        assert policy.m[0] == 0
+        assert policy.active.all()
 
     def test_small_instance(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            state = eucbv_init(2, 16, psi=4.0)
-        assert state.quota[0] == 3 == oracles.round_quota(4, 16, 1.0)
-        assert state.deadline[0] == 6
+            policy = _policy(2, 16, psi=4.0)
+        assert policy.quota[0] == 3 == oracles.round_quota(4, 16, 1.0)
+        assert policy.deadline[0] == 6
 
     def test_epsilon_starts_at_one(self):
-        assert eucbv_init(5, 1000).epsilon[0] == 1.0
+        assert _policy(5, 1000).epsilon[0] == 1.0
 
     def test_horizon_too_small_rejected(self):
         with pytest.raises(ValueError):
-            eucbv_init(20, 20)
+            _policy(20, 20)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
-            eucbv_init(5, 1000, rho=0.0)
+            _policy(5, 1000, rho=0.0)
         with pytest.raises(ValueError):
-            eucbv_init(5, 1000, psi=-1.0)
+            _policy(5, 1000, psi=-1.0)
         with pytest.raises(ValueError):
-            eucbv_init(5, 1000, radius_eps_power=3)
+            _policy(5, 1000, radius_eps_power=3)
 
     def test_warns_below_guarantee_regime(self):
         with pytest.warns(UserWarning):
-            eucbv_init(10, 200)  # 200 < 10^2.4
+            _policy(10, 200)  # 200 < 10^2.4
 
 
-def _radius(state, v_hat, pulls):
+def _radius(policy, v_hat, pulls):
     """Confidence radius of one arm under lane 0's current round."""
-    return float(confidence_radius(v_hat, pulls, state.log_conf[0], state.rho))
+    return float(confidence_radius(v_hat, pulls, policy.log_conf[0], policy.rho))
 
 
 class TestConfidence:
     def test_round_zero_example(self):
         # z=9, v=0.09, psi*T=9e6, eps=1, rho=0.5 (eps power irrelevant at eps=1)
-        state = eucbv_init(20, 60000)
+        policy = _policy(20, 60000)
         expected = oracles.confidence_radius(0.09, 9, 150, 60000, 1.0, 0.5)
         assert expected == pytest.approx(0.6817727752865445, abs=1e-12)
-        assert _radius(state, 0.09, 9) == pytest.approx(expected, rel=1e-12)
+        assert _radius(policy, 0.09, 9) == pytest.approx(expected, rel=1e-12)
 
     def test_decreasing_in_pulls_and_increasing_in_variance(self):
-        state = eucbv_init(20, 60000)
-        radii = [_radius(state, 0.1, z) for z in (1, 2, 5, 10, 100, 10_000)]
+        policy = _policy(20, 60000)
+        radii = [_radius(policy, 0.1, z) for z in (1, 2, 5, 10, 100, 10_000)]
         assert all(a > b for a, b in zip(radii, radii[1:]))
-        low = _radius(state, 0.0, 10)
-        high = _radius(state, 0.2, 10)
+        low = _radius(policy, 0.0, 10)
+        high = _radius(policy, 0.2, 10)
         assert high > low
 
     def test_clamped_log_gives_zero_radius(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            state = eucbv_init(2, 10, psi=0.05)  # psi*T = 0.5 <= 1
-        assert _radius(state, 0.01 / 3, 3) == 0.0
+            policy = _policy(2, 10, psi=0.05)  # psi*T = 0.5 <= 1
+        assert _radius(policy, 0.01 / 3, 3) == 0.0
 
 
 class TestSelect:
     def test_identical_stats_tie_breaks_low(self):
-        state = eucbv_init(2, 100)
+        policy = _policy(2, 100)
         for arm in range(2):
-            _set_arm(state, arm, 5, 0.4, 0.1)
-        assert eucbv_select(state)[0] == 0
+            _set_arm(policy, arm, 5, 0.4, 0.1)
+        assert _select(policy) == 0
 
     def test_singleton_commits(self):
-        state = eucbv_init(8, 1000)
+        policy = _policy(8, 1000)
         for arm in range(8):
-            _set_arm(state, arm, 1, 0.5, 0.0)
-        state.active[0, :] = False
-        state.active[0, 5] = True
-        assert eucbv_select(state)[0] == 5
+            _set_arm(policy, arm, 1, 0.5, 0.0)
+        policy.active[0, :] = False
+        policy.active[0, 5] = True
+        assert _select(policy) == 5
 
     def test_wide_interval_beats_higher_mean(self):
         # arm 0: mean .5, v .25, z=10; arm 1: mean .6, v 0, z=100; psi*T=1e4
-        state = eucbv_init(2, 100, psi=100.0)
-        _set_arm(state, 0, 10, 0.5, 0.25)
-        _set_arm(state, 1, 100, 0.6, 0.0)
+        policy = _policy(2, 100, psi=100.0)
+        _set_arm(policy, 0, 10, 0.5, 0.25)
+        _set_arm(policy, 1, 100, 0.6, 0.0)
         idx_a = 0.5 + oracles.confidence_radius(0.25, 10, 100, 100, 1.0, 0.5)
         idx_b = 0.6 + oracles.confidence_radius(0.0, 100, 100, 100, 1.0, 0.5)
         assert idx_a == pytest.approx(1.0089605318311334, abs=1e-12)
         assert idx_b == pytest.approx(0.7517427129385146, abs=1e-12)
-        assert eucbv_select(state)[0] == 0
+        assert _select(policy) == 0
 
     def test_inactive_arms_ignored(self):
-        state = eucbv_init(3, 1000)
-        _set_arm(state, 0, 50, 0.9, 0.0)
-        _set_arm(state, 1, 50, 0.5, 0.0)
-        _set_arm(state, 2, 50, 0.4, 0.0)
-        state.active[0, 0] = False
-        assert eucbv_select(state)[0] == 1
+        policy = _policy(3, 1000)
+        _set_arm(policy, 0, 50, 0.9, 0.0)
+        _set_arm(policy, 1, 50, 0.5, 0.0)
+        _set_arm(policy, 2, 50, 0.4, 0.0)
+        policy.active[0, 0] = False
+        assert _select(policy) == 1
 
 
 class TestEliminate:
     def test_singleton_unchanged(self):
-        state = eucbv_init(2, 100)
-        _set_arm(state, 0, 5, 0.9, 0.0)
-        _set_arm(state, 1, 5, 0.1, 0.0)
-        state.active[0, 1] = False
-        eucbv_eliminate(state)
-        assert state.active[0].tolist() == [True, False]
+        policy = _policy(2, 100)
+        _set_arm(policy, 0, 5, 0.9, 0.0)
+        _set_arm(policy, 1, 5, 0.1, 0.0)
+        policy.active[0, 1] = False
+        policy._eliminate(LANE)
+        assert policy.active[0].tolist() == [True, False]
 
     def test_identical_arms_survive(self):
-        state = eucbv_init(2, 100)
+        policy = _policy(2, 100)
         for arm in range(2):
-            _set_arm(state, arm, 5, 0.4, 0.1)
-        eucbv_eliminate(state)
-        assert state.active.all()
+            _set_arm(policy, arm, 5, 0.4, 0.1)
+        policy._eliminate(LANE)
+        assert policy.active.all()
 
     def test_separated_intervals_eliminate(self):
         # radius = sqrt(log(psi*T)/(4 z)) for v=0, rho=1/2; pick psi*T = e^0.04,
         # z = 4 so both radii are 0.05: [0.85, 0.95] vs [0.05, 0.15].
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            state = eucbv_init(2, 3, psi=math.exp(0.04) / 3.0)
-        _set_arm(state, 0, 4, 0.9, 0.0)
-        _set_arm(state, 1, 4, 0.1, 0.0)
-        eucbv_eliminate(state)
-        assert state.active[0].tolist() == [True, False]
+            policy = _policy(2, 3, psi=math.exp(0.04) / 3.0)
+        _set_arm(policy, 0, 4, 0.9, 0.0)
+        _set_arm(policy, 1, 4, 0.1, 0.0)
+        policy._eliminate(LANE)
+        assert policy.active[0].tolist() == [True, False]
 
     def test_best_lcb_arm_never_removed(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            state = eucbv_init(4, 5000)
+            policy = _policy(4, 5000)
             for arm in range(4):
-                _set_arm(state, arm, int(rng.integers(1, 50)),
+                _set_arm(policy, arm, int(rng.integers(1, 50)),
                          float(rng.random()), float(rng.random() * 0.25))
-            eucbv_eliminate(state)
-            assert state.active[0].any()
+            policy._eliminate(LANE)
+            assert policy.active[0].any()
 
 
 class TestAdvanceRound:
     def test_first_reset_halves_epsilon(self):
-        state = eucbv_init(20, 60000)
-        eucbv_advance_round(state, 180)
-        assert state.m[0] == 1
-        assert state.epsilon[0] == 0.5
-        assert state.quota[0] == 15 == oracles.round_quota(150, 60000, 0.5)
-        assert state.deadline[0] == 180 + 20 * 15
+        policy = _policy(20, 60000)
+        policy._advance_round(180, LANE)
+        assert policy.m[0] == 1
+        assert policy.epsilon[0] == 0.5
+        assert policy.quota[0] == 15 == oracles.round_quota(150, 60000, 0.5)
+        assert policy.deadline[0] == 180 + 20 * 15
 
     def test_before_deadline_no_change(self):
-        state = eucbv_init(20, 60000)
-        eucbv_advance_round(state, 179)
-        assert state.m[0] == 0 and state.epsilon[0] == 1.0
+        policy = _policy(20, 60000)
+        policy._advance_round(179, LANE)
+        assert policy.m[0] == 0 and policy.epsilon[0] == 1.0
 
     def test_no_advancement_past_round_cap(self):
-        state = eucbv_init(20, 60000)
-        state.m[0] = state.max_rounds + 1
-        state.deadline[0] = 0
-        eps = state.epsilon[0]
-        eucbv_advance_round(state, 10 ** 6)
-        assert state.m[0] == state.max_rounds + 1
-        assert state.epsilon[0] == eps
+        policy = _policy(20, 60000)
+        policy.m[0] = policy.max_rounds + 1
+        policy.deadline[0] = 0
+        eps = policy.epsilon[0]
+        policy._advance_round(10 ** 6, LANE)
+        assert policy.m[0] == policy.max_rounds + 1
+        assert policy.epsilon[0] == eps
 
     def test_deadline_uses_current_timestep(self):
-        state = eucbv_init(20, 60000)
-        eucbv_advance_round(state, 205)  # late arrival past N_0 = 180
-        assert state.deadline[0] == 205 + 20 * 15
+        policy = _policy(20, 60000)
+        policy._advance_round(205, LANE)  # late arrival past N_0 = 180
+        assert policy.deadline[0] == 205 + 20 * 15
 
     def test_radius_log_tracks_power(self):
-        s1 = eucbv_init(20, 60000, radius_eps_power=1)
-        s2 = eucbv_init(20, 60000, radius_eps_power=2)
+        s1 = _policy(20, 60000, radius_eps_power=1)
+        s2 = _policy(20, 60000, radius_eps_power=2)
         for s in (s1, s2):
-            eucbv_advance_round(s, 180)
+            s._advance_round(180, LANE)
         assert s1.log_conf[0] == pytest.approx(math.log(150 * 60000 * 0.5))
         assert s2.log_conf[0] == pytest.approx(math.log(150 * 60000 * 0.25))
+
+    def test_committed_lane_skips_round_reset(self):
+        # Lane 0 is down to one arm, lane 1 is not; both are past N_0 = 180.
+        policy = EucbvPolicy(2, 20, 60000)
+        for lane in range(2):
+            for arm in range(20):
+                _set_arm(policy, arm, 9, 0.5, 0.1, lane)
+        policy.active[0, 1:] = False
+        policy._after_update(180, None, None)
+        assert policy.m.tolist() == [0, 1]
+        assert policy.deadline.tolist() == [180, 180 + 20 * 15]
+        assert policy.survivors().tolist() == [0, -1]
 
 
 class TestStep:
@@ -215,15 +232,15 @@ class TestStep:
             policy.update(arms, np.array([r]))
             if t > n_arms:
                 pulled.append(arm)
-        return policy.state, pulled
+        return policy, pulled
 
     def test_pull_conservation(self):
-        state, _ = self._drive(3, 200, {0: [0.9], 1: [0.5], 2: [0.1]})
-        assert state.stats.pull_counts().sum() == 200
+        policy, _ = self._drive(3, 200, {0: [0.9], 1: [0.5], 2: [0.1]})
+        assert policy.pull_counts().sum() == 200
 
     def test_deterministic_tape_keeps_best_arm(self):
-        state, pulled = self._drive(2, 64, {0: [0.9], 1: [0.1]}, psi=16.0)
-        assert state.active[0].tolist() == [True, False]
+        policy, pulled = self._drive(2, 64, {0: [0.9], 1: [0.1]}, psi=16.0)
+        assert policy.active[0].tolist() == [True, False]
         # once committed, every remaining pull hits the survivor
         last_elim = max(i for i, a in enumerate(pulled) if a == 1)
         assert all(a == 0 for a in pulled[last_elim + 1:])
@@ -236,7 +253,7 @@ class TestPolicyInvariants:
         for t in range(1, 401):
             arms = policy.select(t)
             policy.update(arms, rng.random(1))
-            st = policy.state
+            st = policy
             assert st.epsilon[0] == 2.0 ** -st.m[0]
             assert st.m[0] <= st.max_rounds + 1
             assert st.active[0].any()
@@ -248,8 +265,8 @@ class TestPolicyInvariants:
         for t in range(1, 601):
             arm = int(policy.select(t)[0])
             policy.update(np.array([arm]), np.array([tape[arm]]))
-            counts = policy.state.stats.counts[0]
-            for dead in np.nonzero(~policy.state.active[0])[0]:
+            counts = policy.stats.counts[0]
+            for dead in np.nonzero(~policy.active[0])[0]:
                 frozen.setdefault(int(dead), counts[dead])
                 assert counts[dead] == frozen[int(dead)]
         assert frozen, "tape should eliminate at least one arm"

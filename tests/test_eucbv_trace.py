@@ -12,13 +12,7 @@ import math
 
 import numpy as np
 
-from eucbv.policies import (
-    EucbvPolicy,
-    eucbv_advance_round,
-    eucbv_eliminate,
-    eucbv_init,
-    eucbv_select,
-)
+from eucbv.policies import EucbvPolicy
 
 # Scripted tape: reward of arm i's j-th pull is TAPE[i][j % len].  Chosen so
 # the 64-step trajectory contains three round resets, an elimination (t=39),
@@ -105,69 +99,26 @@ def engine_trajectory_policy(n_arms, horizon, tape, **kw):
     pulls_seq = []
     elim_events = []
     advance_events = []
-    prev_active = policy.state.active[0].copy()
-    prev_m = int(policy.state.m[0])
+    prev_active = policy.active[0].copy()
+    prev_m = int(policy.m[0])
     for t in range(1, horizon + 1):
         arm = int(policy.select(t)[0])
         reward = float(tape[arm][cursor[arm] % len(tape[arm])])
         cursor[arm] += 1
         policy.update(np.array([arm]), np.array([reward]))
         pulls_seq.append(arm)
-        now_active = policy.state.active[0]
+        now_active = policy.active[0]
         removed = np.nonzero(prev_active & ~now_active)[0]
         if removed.size:
             elim_events.append((t, tuple(int(i) for i in removed)))
-        if int(policy.state.m[0]) != prev_m:
-            advance_events.append((t, int(policy.state.m[0])))
+        if int(policy.m[0]) != prev_m:
+            advance_events.append((t, int(policy.m[0])))
         prev_active = now_active.copy()
-        prev_m = int(policy.state.m[0])
+        prev_m = int(policy.m[0])
     survivors = policy.survivors()
     survivor = int(survivors[0]) if survivors[0] >= 0 else None
     return (pulls_seq, elim_events, advance_events, survivor,
-            policy.state.stats.pull_counts()[0].tolist())
-
-
-def engine_trajectory_ops(n_arms, horizon, tape, psi=None, rho=0.5):
-    """Same trajectory through the raw ops on a one-lane state: select ->
-    observe -> record -> eliminate -> round reset, with a committed lane
-    only pulling."""
-    state = eucbv_init(n_arms, horizon, rho=rho, psi=psi)
-    cursor = [0] * n_arms
-
-    def reward(arm):
-        r = float(tape[arm][cursor[arm] % len(tape[arm])])
-        cursor[arm] += 1
-        return r
-
-    pulls_seq = []
-    elim_events = []
-    advance_events = []
-    for arm in range(n_arms):
-        state.stats.record(np.array([arm]), np.array([reward(arm)]))
-        state.t += 1
-        pulls_seq.append(arm)
-    prev_active = state.active[0].copy()
-    prev_m = int(state.m[0])
-    while state.t < horizon:
-        committed = state.active_counts()[0] == 1
-        arms = eucbv_select(state)
-        arm = int(arms[0])
-        state.stats.record(arms, np.array([reward(arm)]))
-        state.t += 1
-        if not committed:
-            eucbv_eliminate(state)
-            eucbv_advance_round(state, state.t)
-        pulls_seq.append(arm)
-        removed = np.nonzero(prev_active & ~state.active[0])[0]
-        if removed.size:
-            elim_events.append((state.t, tuple(int(i) for i in removed)))
-        if int(state.m[0]) != prev_m:
-            advance_events.append((state.t, int(state.m[0])))
-        prev_active = state.active[0].copy()
-        prev_m = int(state.m[0])
-    survivor = int(np.argmax(state.active[0])) if state.active[0].sum() == 1 else None
-    return pulls_seq, elim_events, advance_events, survivor, \
-        state.stats.pull_counts()[0].tolist()
+            policy.pull_counts()[0].tolist())
 
 
 def test_engine_matches_transcription_exactly():
@@ -175,9 +126,7 @@ def test_engine_matches_transcription_exactly():
     psi = horizon / n_arms ** 2
     ref = reference_trajectory(n_arms, horizon, 0.5, psi, TAPE)
     via_policy = engine_trajectory_policy(n_arms, horizon, TAPE)
-    via_ops = engine_trajectory_ops(n_arms, horizon, TAPE)
     assert via_policy == ref
-    assert via_ops == ref
     # The tape must actually exercise the machinery.
     _, elim_events, advance_events, survivor, counts = ref
     assert elim_events, "tape failed to trigger an elimination"

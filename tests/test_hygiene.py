@@ -1,0 +1,68 @@
+"""Source hygiene: no imported-but-unused names, no dangling exports.
+
+No linter ships with the project, so these checks stand in for the two rules
+that matter most here: every import in ``src/eucbv`` is read somewhere in its
+module (a package ``__init__`` may instead re-export it through
+``__all__``), and every name a package exports actually resolves.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "eucbv"
+MODULES = sorted(SRC.rglob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict:
+    """Name bound by each import statement -> its line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _exported(tree: ast.Module) -> set:
+    """String entries of a module-level ``__all__`` list or tuple."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts
+                    if isinstance(elt, ast.Constant) and isinstance(elt.value, str)}
+    return set()
+
+
+def _read(tree: ast.Module) -> set:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_sources_found():
+    assert SRC / "__init__.py" in MODULES
+    assert SRC / "policies" / "eucbv.py" in MODULES
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = _read(tree) | _exported(tree)
+    unused = sorted(f"{name} (line {line})"
+                    for name, line in _imported(tree).items() if name not in used)
+    assert not unused, f"{path.relative_to(SRC)} imports but never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("module_name", ["eucbv", "eucbv.policies"])
+def test_all_names_resolve(module_name):
+    module = importlib.import_module(module_name)
+    assert len(set(module.__all__)) == len(module.__all__), "duplicate __all__ entry"
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"

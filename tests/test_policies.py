@@ -178,7 +178,8 @@ class TestTsPolicies:
         assert int(rng.counters[0]) == before
         policy.update(np.array([0]), np.array([0.5]))  # non-binary: one flip
         assert int(rng.counters[0]) == before + 1
-        assert policy.successes[0, 0] + policy.failures[0, 0] == 2.0
+        assert policy.stats.counts[0, 0] == 2.0
+        assert policy.successes[0, 0] in (1.0, 2.0)
 
     def test_ts_beta_converges_to_best_arm(self):
         rng = _rng(5)

@@ -12,7 +12,7 @@ from eucbv.env import make_environment, sample_rewards_batch
 from eucbv.policies import make_batch_policy
 from eucbv.policies.eucbv import EucbvPolicy, confidence_radius
 from eucbv.policies.kl import klucb_index
-from eucbv.rng import StreamBatch, _mix64_np, derive_key, derive_run_stream, mix64
+from eucbv.rng import StreamBatch, _mix64_np, derive_key, mix64
 from eucbv.simulator import checkpoint_times, run_batch
 from eucbv.stats import PullStats
 
@@ -65,8 +65,8 @@ def test_mix64_scalar_matches_vector(z):
 @_SETTINGS
 @given(st.integers(min_value=0, max_value=2 ** 63), st.integers(min_value=0, max_value=1000))
 def test_stream_reproducible_and_count_independent(seed, run):
-    first = derive_run_stream(seed, run).uniforms(32)
-    again = derive_run_stream(seed, run).uniforms(32)
+    first = oracles.RngStream(derive_key(seed, run)).uniforms(32)
+    again = StreamBatch.for_runs(seed, [run]).uniform_block(32)[0]
     assert np.array_equal(first, again)
     batch = StreamBatch.for_runs(seed, range(run, run + 5))
     assert np.array_equal(batch.uniform_block(32)[0], first)
@@ -121,7 +121,6 @@ def test_eucbv_simulation_invariants(rnd, seed):
         policy = EucbvPolicy(1, k, horizon)
     lane = StreamBatch.for_runs(seed, [0])
     gaps = env.gaps
-    state = policy.state
     regret = 0.0
     prev_regret = 0.0
     pull_log = []
@@ -129,13 +128,13 @@ def test_eucbv_simulation_invariants(rnd, seed):
     for t in range(1, horizon + 1):
         arms = policy.select(t)
         arm = int(arms[0])
-        assert state.active[0].any()
+        assert policy.active[0].any()
         if t > k:
-            assert state.active[0, arm], "pulled an eliminated arm"
+            assert policy.active[0, arm], "pulled an eliminated arm"
         policy.update(arms, sample_rewards_batch(env, arms, lane))
         pull_log.append(arm)
-        assert state.epsilon[0] == 2.0 ** -state.m[0]
-        assert state.m[0] <= state.max_rounds + 1
+        assert policy.epsilon[0] == 2.0 ** -policy.m[0]
+        assert policy.m[0] <= policy.max_rounds + 1
         regret += gaps[arm]
         assert regret >= prev_regret >= 0.0
         prev_regret = regret
@@ -143,7 +142,7 @@ def test_eucbv_simulation_invariants(rnd, seed):
     assert pulls.sum() == horizon
     assert abs(float(gaps @ pulls) - regret) < 1e-9
     # eliminated arms never pulled again
-    dead = np.nonzero(~state.active[0])[0]
+    dead = np.nonzero(~policy.active[0])[0]
     for arm in dead:
         last = max(i for i, a in enumerate(pull_log) if a == arm)
         stayed_dead = [i for i, a in enumerate(pull_log) if a == arm and i > last]

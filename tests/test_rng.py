@@ -6,16 +6,29 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+import oracles
 from eucbv.env import make_environment, sample_rewards_batch
 from eucbv.rng import (
     DOMAIN_POLICY,
     DOMAIN_REWARDS,
-    RngStream,
     StreamBatch,
     _mix64_np,
     derive_key,
     mix64,
 )
+from oracles import RngStream
+
+# Three lanes whose counters differ, so a draw that mixes up lanes or
+# counters cannot match the per-lane references.
+KEYS = [derive_key(17, k) for k in range(3)]
+COUNTERS = [0, 5, 17]
+
+
+def _three_lanes():
+    batch = StreamBatch(np.array(KEYS, dtype=np.uint64))
+    batch.counters[:] = COUNTERS
+    refs = [RngStream(key, counter) for key, counter in zip(KEYS, COUNTERS)]
+    return batch, refs
 
 
 def test_mix64_python_matches_numpy():
@@ -26,14 +39,13 @@ def test_mix64_python_matches_numpy():
 
 
 def test_same_key_replays_identically():
-    a = RngStream(derive_key(7, 3))
-    b = RngStream(derive_key(7, 3))
-    assert [a.uniform() for _ in range(100)] == [b.uniform() for _ in range(100)]
+    a = StreamBatch.for_runs(7, [3])
+    b = StreamBatch.for_runs(7, [3])
+    assert [a.uniform_each()[0] for _ in range(100)] == [b.uniform_each()[0] for _ in range(100)]
 
 
 def test_distinct_runs_differ():
-    a = RngStream(derive_key(7, 0)).uniforms(100)
-    b = RngStream(derive_key(7, 1)).uniforms(100)
+    a, b = StreamBatch.for_runs(7, [0, 1]).uniform_block(100)
     assert not np.array_equal(a, b)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.3
 
@@ -56,8 +68,50 @@ def test_negative_run_index_rejected():
 
 def test_uniforms_block_equals_scalar_sequence():
     s = RngStream(derive_key(11, 5))
-    block = RngStream(derive_key(11, 5)).uniforms(64)
+    block = StreamBatch.for_runs(11, [5]).uniform_block(64)[0]
     assert np.array_equal(np.array([s.uniform() for _ in range(64)]), block)
+    batch, refs = _three_lanes()
+    got = batch.uniform_block(9)
+    for lane, ref in enumerate(refs):
+        assert np.array_equal(got[lane], ref.uniforms(9))
+    assert batch.counters.tolist() == [c + 9 for c in COUNTERS]
+
+
+def test_uniform_each_matches_scalar_streams():
+    batch, refs = _three_lanes()
+    for _ in range(4):
+        assert batch.uniform_each().tolist() == [ref.uniform() for ref in refs]
+    assert batch.counters.tolist() == [c + 4 for c in COUNTERS]
+
+
+def test_uniform_lanes_matches_scalar_streams():
+    batch, refs = _three_lanes()
+    for lanes in ([0, 2], [1], [2, 1, 0]):
+        got = batch.uniform_lanes(np.array(lanes))
+        assert got.tolist() == [refs[lane].uniform() for lane in lanes]
+    assert batch.counters.tolist() == [ref.counter for ref in refs]
+
+
+def test_normal_each_and_block_match_scalar_box_muller():
+    batch, refs = _three_lanes()
+    got = batch.normal_each()
+    want = [oracles.box_muller(ref.uniform(), ref.uniform()) for ref in refs]
+    assert got.tolist() == want
+    block = batch.normal_block(5)
+    for lane, ref in enumerate(refs):
+        want = [oracles.box_muller(ref.uniform(), ref.uniform()) for _ in range(5)]
+        assert block[lane].tolist() == want
+    assert batch.counters.tolist() == [ref.counter for ref in refs]
+
+
+def test_gamma_block_matches_scalar_reference():
+    # shape 1 rejects often, so the lanes run different numbers of trials
+    batch, refs = _three_lanes()
+    shape = np.array([[1.0, 2.5, 7.0, 1.0]] * 3)
+    got = batch.gamma_block(shape)
+    for lane, ref in enumerate(refs):
+        assert got[lane].tolist() == oracles.gamma_row(ref, shape[lane]).tolist()
+    assert batch.counters.tolist() == [ref.counter for ref in refs]
 
 
 def test_scalar_normal_consumes_two_draws_and_matches_batch():
@@ -98,7 +152,7 @@ def test_lane_sequence_unaffected_by_batch_mates():
 
 
 def test_uniform_range_and_mean():
-    u = RngStream(derive_key(23, 0)).uniforms(200_000)
+    u = StreamBatch.for_runs(23, [0]).uniform_block(200_000)[0]
     assert (u >= 0.0).all() and (u < 1.0).all()
     assert abs(u.mean() - 0.5) < 0.005
 
