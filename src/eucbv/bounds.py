@@ -57,8 +57,12 @@ class BoundInputs:
             raise ValueError("need at least 2 arms")
         if len(self.gaps) != self.n_arms or len(self.variances) != self.n_arms:
             raise ValueError("gaps and variances must have one entry per arm")
-        if any(g < 0 for g in self.gaps):
-            raise ValueError("gaps must be >= 0")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if not all(math.isfinite(g) and g >= 0 for g in self.gaps):
+            raise ValueError("gaps must be finite and >= 0")
+        if not all(math.isfinite(v) and v >= 0 for v in self.variances):
+            raise ValueError("variances must be finite and >= 0")
         floor = math.sqrt(math.e / self.horizon)
         if self.b < floor * (1.0 - 1e-12):
             raise ValueError(

@@ -114,8 +114,10 @@ def cmd_bounds(n_arms: int, horizon: int, delta: float | None, preset: str | Non
         inputs = bounds_mod.BoundInputs.from_environment(env, spec.horizon)
         n_arms, horizon = env.n_arms, spec.horizon
     else:
-        if not 0.0 < delta:
-            raise ConfigValidationError("--delta must be positive")
+        if horizon < 1:
+            raise ConfigValidationError("--T must be >= 1")
+        if not 0.0 < delta < math.inf:
+            raise ConfigValidationError("--delta must be positive and finite")
         var = 0.25 if sigma_sq is None else sigma_sq
         gaps = (0.0,) + (delta,) * (n_arms - 1)
         variances = (var,) * n_arms

@@ -3,8 +3,9 @@
 Round structure: epsilon_m = 2**-m starts at 1 and halves at each round
 reset; round m allots a per-arm quota n_m = ceil(log(psi*T*eps_m^2)/(2 eps_m))
 and the reset fires once t reaches the deadline N_m (N_0 = K*n_0, afterwards
-N_{m+1} = t + |B| * n_{m+1}), capped at M = floor(log2(T/e)/2) resets.  At
-every timestep the policy pulls the active arm with the highest
+N_{m+1} = t + |B| * n_{m+1}).  A reset fires only while m <= M, where
+M = floor(log2(T/e)/2), so a lane makes at most M+1 resets and ends with
+m <= M+1.  At every timestep the policy pulls the active arm with the highest
 
     mean + sqrt(rho * (v + 2) * log(psi*T*eps_m**p) / (4 z))
 
@@ -13,7 +14,7 @@ active lower bound.  ``p`` is ``radius_eps_power``: with the default p=2 the
 radius log shares the quota's argument, and the radius keeps shrinking fast
 enough across rounds for the algorithm to out-exploit MOSS/UCB-V on the
 benchmark testbeds; p=1 is the conservative variant whose radius floors near
-sqrt(rho*(v+2)*log(psi*T*2^-M)/(4 z)) once rounds stop.  Once a lane's
+sqrt(rho*(v+2)*log(psi*T*2^-(M+1))/(4 z)) once rounds stop.  Once a lane's
 active set is a singleton the surviving arm is pulled until T with no
 further eliminations or round resets.
 
@@ -91,6 +92,11 @@ class EucbvPolicy(BatchPolicy):
         self.deadline = n_arms * self.quota           # (R,) N_m
         self.log_conf = self._radius_log(self.epsilon)    # (R,) clamped radius log
         self.active = np.ones((n_runs, n_arms), dtype=bool)
+        # The last step's post-update UCBs (means + radius) from _eliminate,
+        # valid while no update or round reset has happened since: _ucb_t
+        # is the update count they were computed at, -1 for none.
+        self._ucb = None
+        self._ucb_t = -1
 
     def _radius_log(self, epsilon: np.ndarray) -> np.ndarray:
         return _clamped_log(self.psi * self.horizon * epsilon ** self.radius_eps_power)
@@ -105,12 +111,16 @@ class EucbvPolicy(BatchPolicy):
         """Per-lane arm maximizing mean + radius over the active set.
 
         Ties resolve to the lowest index; when every lane's active set is a
-        singleton the indices are not computed.
+        singleton the indices are not computed.  The UCBs the last update's
+        elimination computed are reused when nothing has changed since.
         """
         if self.active.sum(axis=1).max() == 1:
             return np.argmax(self.active, axis=1)
-        scores = np.where(self.active, self.stats.means() + self._radius(), _NEG_INF)
-        return np.argmax(scores, axis=1)
+        if self._ucb_t == self._t:
+            ucb = self._ucb
+        else:
+            ucb = self.stats.means() + self._radius()
+        return np.argmax(np.where(self.active, ucb, _NEG_INF), axis=1)
 
     def _after_update(self, t: int, arms: np.ndarray, rewards: np.ndarray) -> None:
         if t <= self.n_arms:
@@ -119,20 +129,22 @@ class EucbvPolicy(BatchPolicy):
         # becomes a singleton during this step still runs this step's checks.
         lanes = self.active.sum(axis=1) > 1
         if lanes.any():
-            self._eliminate(lanes)
+            self._ucb, self._ucb_t = self._eliminate(lanes), t
             self._advance_round(t, lanes)
 
-    def _eliminate(self, lanes: np.ndarray) -> None:
+    def _eliminate(self, lanes: np.ndarray) -> np.ndarray:
         """In ``lanes``, remove active arms whose UCB falls strictly below the
-        best active LCB.
+        best active LCB; returns every cell's UCB.
 
         The max runs over all active arms including the candidate itself, so
         the arm attaining the best LCB always survives (its UCB >= its LCB).
         """
         means = self.stats.means()
         conf = self._radius()
+        ucb = means + conf
         lcb_best = np.where(self.active, means - conf, _NEG_INF).max(axis=1)
-        self.active &= ~(lanes[:, None] & (means + conf < lcb_best[:, None]))
+        self.active &= ~(lanes[:, None] & (ucb < lcb_best[:, None]))
+        return ucb
 
     def _advance_round(self, t: int, lanes: np.ndarray) -> None:
         """Round reset for the lanes in ``lanes`` with t >= N_m and m <= M:
@@ -140,6 +152,7 @@ class EucbvPolicy(BatchPolicy):
         adv = lanes & (t >= self.deadline) & (self.m <= self.max_rounds)
         if not adv.any():
             return
+        self._ucb_t = -1  # the reset lanes' radii change
         self.epsilon[adv] *= 0.5
         quota = _quota(self.psi, self.horizon, self.epsilon[adv])
         self.quota[adv] = quota

@@ -7,7 +7,9 @@ Index formulas (z = pulls of the arm, t = current timestep, T = horizon):
     MOSS   mean + sqrt(max(ln(T / (K z)), 0) / z)
     OCUCB  mean + sqrt((alpha / z) ln(psi T / z)), defaults alpha=3, psi=2
 
-The index functions accept scalars or arrays.
+The index functions accept scalars or arrays.  UCB1 and UCB-V read t, so
+every step recomputes all of their cells; MOSS and OCUCB do not, so they
+keep a per-cell index and refresh only the cells each step pulls.
 """
 
 from __future__ import annotations
@@ -55,16 +57,37 @@ class UcbvPolicy(BatchPolicy):
         return np.argmax(scores, axis=1)
 
 
-class MossPolicy(BatchPolicy):
-    policy_id = "moss"
+class _CellIndexPolicy(BatchPolicy):
+    """An index that reads only its own cell's mean and pull count (and
+    constants such as T), so it is kept per cell: each update recomputes
+    the R pulled cells with the same elementwise expressions, and selection
+    is one argmax.  Cells never pulled read nan, as sums/counts would."""
+
+    def __init__(self, n_runs, n_arms, horizon, rng=None):
+        super().__init__(n_runs, n_arms, horizon, rng)
+        self._index = np.full((n_runs, n_arms), np.nan)
+
+    def _cell_index(self, mean, pulls):
+        raise NotImplementedError
+
+    def _after_update(self, t, arms, rewards):
+        cells = self.stats.cells(arms)
+        pulls = np.take(self.stats.counts, cells)
+        mean = np.take(self.stats.sums, cells) / pulls
+        np.put(self._index, cells, self._cell_index(mean, pulls))
 
     def _select(self, t):
-        scores = moss_index(self.stats.means(), self.stats.counts,
-                            self.horizon, self.n_arms)
-        return np.argmax(scores, axis=1)
+        return np.argmax(self._index, axis=1)
 
 
-class OcucbPolicy(BatchPolicy):
+class MossPolicy(_CellIndexPolicy):
+    policy_id = "moss"
+
+    def _cell_index(self, mean, pulls):
+        return moss_index(mean, pulls, self.horizon, self.n_arms)
+
+
+class OcucbPolicy(_CellIndexPolicy):
     policy_id = "ocucb"
 
     def __init__(self, n_runs, n_arms, horizon, rng=None, alpha=3.0, psi=2.0):
@@ -74,7 +97,5 @@ class OcucbPolicy(BatchPolicy):
         self.alpha = alpha
         self.psi = psi
 
-    def _select(self, t):
-        scores = ocucb_index(self.stats.means(), self.stats.counts,
-                             self.horizon, self.alpha, self.psi)
-        return np.argmax(scores, axis=1)
+    def _cell_index(self, mean, pulls):
+        return ocucb_index(mean, pulls, self.horizon, self.alpha, self.psi)

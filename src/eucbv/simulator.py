@@ -9,6 +9,14 @@ consumes the streams derived from (master_seed, k), whether executed alone
 (a one-lane batch), inside a batch, serially, or across worker processes.  run_many splits runs
 into fixed-size chunks (independent of --threads) and merges results by run
 index, so the aggregate bytes never depend on the degree of parallelism.
+
+run_batch fetches each lane's reward noise in fixed blocks of
+NOISE_BLOCK_STEPS steps (the last one cut at the horizon) and builds one
+step's rewards per sample_rewards_batch call.  Each draw of a counter-based
+stream depends only on (key, j), so the values, and every lane's final
+counter, equal those of per-step draws.  Policies may keep per-step caches
+(MOSS and OCUCB per-cell indices, EUCBV's last upper bounds); they evaluate
+the same expressions on the same inputs, so they are exact by construction.
 """
 
 from __future__ import annotations
@@ -18,12 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Environment, make_environment, sample_rewards_batch
+from .env import Environment, NoiseBlocks, make_environment, sample_rewards_batch
 from .policies import make_batch_policy
 from .rng import DOMAIN_POLICY, DOMAIN_REWARDS, StreamBatch
 
 DEFAULT_CHECKPOINTS = 200
 CHUNK_RUNS = 50  # fixed batch width; must not depend on thread count
+NOISE_BLOCK_STEPS = 128  # reward-noise steps fetched per lane at once
 
 
 @dataclass(frozen=True)
@@ -62,11 +71,12 @@ def run_batch(env: Environment, policy, horizon: int, reward_streams: StreamBatc
     n_runs = len(reward_streams)
     curves = np.empty((n_runs, len(checkpoint_ts)), dtype=np.float64)
     regret = np.zeros(n_runs, dtype=np.float64)
+    noise = NoiseBlocks(env, reward_streams, horizon, NOISE_BLOCK_STEPS)
     ck = 0
     next_ck = int(checkpoint_ts[0])
     for t in range(1, horizon + 1):
         arms = policy.select(t)
-        rewards = sample_rewards_batch(env, arms, reward_streams)
+        rewards = sample_rewards_batch(env, arms, noise)
         policy.update(arms, rewards)
         regret += gaps[arms]
         if t == next_ck:

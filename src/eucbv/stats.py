@@ -15,22 +15,32 @@ class PullStats:
     """Per-(run, arm) pull counts and reward sums for a batch of runs.
 
     Counts are float64 for arithmetic convenience; they stay exact for any
-    horizon this library targets (integers below 2**53).
+    horizon this library targets (integers below 2**53).  The three (R, K)
+    arrays are updated in place, never rebound: ``record`` writes through
+    flat views of them.
     """
 
-    __slots__ = ("counts", "sums", "sq_sums", "_rows")
+    __slots__ = ("counts", "sums", "sq_sums", "_flat", "_row_starts")
 
     def __init__(self, n_runs: int, n_arms: int):
         self.counts = np.zeros((n_runs, n_arms), dtype=np.float64)
         self.sums = np.zeros((n_runs, n_arms), dtype=np.float64)
         self.sq_sums = np.zeros((n_runs, n_arms), dtype=np.float64)
-        self._rows = np.arange(n_runs)
+        self._flat = (self.counts.reshape(-1), self.sums.reshape(-1),
+                      self.sq_sums.reshape(-1))
+        self._row_starts = np.arange(n_runs) * n_arms
+
+    def cells(self, arms: np.ndarray) -> np.ndarray:
+        """Flat (C-order) index of lane r's cell for ``arms[r]``, per lane."""
+        return self._row_starts + arms
 
     def record(self, arms: np.ndarray, rewards: np.ndarray) -> None:
         """Record one (arm, reward) observation per lane."""
-        self.counts[self._rows, arms] += 1.0
-        self.sums[self._rows, arms] += rewards
-        self.sq_sums[self._rows, arms] += rewards * rewards
+        cells = self.cells(arms)
+        counts, sums, sq_sums = self._flat
+        counts[cells] += 1.0
+        sums[cells] += rewards
+        sq_sums[cells] += rewards * rewards
 
     def means(self) -> np.ndarray:
         """Per-cell sample means; caller guarantees counts >= 1."""

@@ -286,6 +286,16 @@ preset = expt3
     def test_bounds_invalid_regime_is_validation_error(self):
         assert main(["bounds", "--K", "20", "--T", "100", "--delta", "-0.5"]) == 3
 
+    @pytest.mark.parametrize("bad", [
+        ["--T", "0", "--delta", "0.1"],
+        ["--T", "100", "--delta", "inf"],
+        ["--T", "100", "--delta", "0.1", "--sigma-sq", "nan"],
+        ["--T", "100", "--delta", "0.1", "--sigma-sq", "-1"],
+    ], ids=["T-zero", "delta-inf", "sigma-sq-nan", "sigma-sq-negative"])
+    def test_bounds_invalid_input_is_validation_error(self, tmp_path, bad):
+        assert main(["bounds", "--K", "20", *bad, "--out", str(tmp_path)]) == 3
+        assert not (tmp_path / "bounds_table1.csv").exists()
+
     def test_bounds_preset_mode(self, capsys):
         assert main(["bounds", "--preset", "expt1"]) == 0
         assert "eucbv" in capsys.readouterr().out

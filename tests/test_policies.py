@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import oracles
+from eucbv.env import make_environment, sample_rewards_batch
 from eucbv.policies import (
     POLICY_IDS,
     bayes_ucb_index,
+    confidence_radius,
     kl_bernoulli,
     klucb_index,
     make_batch_policy,
@@ -163,6 +165,52 @@ class TestBatchSelectConsistency:
             assert scores[chosen] == pytest.approx(best, abs=3e-9)
             # lowest index among (near-)maximizers
             assert chosen == min(a for a, s in enumerate(scores) if s >= best - 3e-9)
+
+
+def _fresh_index(pid, policy):
+    """The policy's index recomputed from its PullStats, no cache involved."""
+    stats = policy.stats
+    if pid == "eucbv":
+        radius = confidence_radius(stats.variances(), stats.counts,
+                                   policy.log_conf[:, None], policy.rho)
+        return stats.means() + radius
+    if pid == "moss":
+        return moss_index(stats.means(), stats.counts, policy.horizon, policy.n_arms)
+    return ocucb_index(stats.means(), stats.counts, policy.horizon)
+
+
+def _cached_index(pid, policy):
+    """The index the next selection would read from the cache, or None."""
+    if pid != "eucbv":
+        return policy._index
+    return policy._ucb if policy._ucb_t == policy._t else None
+
+
+class TestCachedIndices:
+    """EUCBV's reused upper bounds and the MOSS/OCUCB per-cell indices equal
+    a fresh index bit for bit and choose what it would, at every step."""
+
+    @pytest.mark.parametrize("pid", ["eucbv", "moss", "ocucb"])
+    def test_choice_is_argmax_of_fresh_index(self, pid):
+        env = make_environment([("gaussian", m, 0.04) for m in (0.1, 0.3, 0.5, 0.55, 0.9)])
+        horizon, lanes = 2000, 3
+        policy = make_batch_policy(pid, lanes, env.n_arms, horizon)
+        streams = StreamBatch.for_runs(1, range(lanes))
+        for t in range(1, horizon + 1):
+            arms = policy.select(t)
+            if t > env.n_arms:
+                fresh = _fresh_index(pid, policy)
+                cached = _cached_index(pid, policy)
+                assert cached is None or np.array_equal(cached, fresh)
+                if pid == "eucbv":
+                    fresh = np.where(policy.active, fresh, -np.inf)
+                assert np.array_equal(arms, np.argmax(fresh, axis=1))
+            policy.update(arms, sample_rewards_batch(env, arms, streams))
+        if pid == "eucbv":
+            # every lane reset rounds and eliminated; some, not all, committed
+            live = policy.active.sum(axis=1)
+            assert (policy.m > 1).all() and (live < env.n_arms).all()
+            assert (live == 1).any() and (live > 1).any()
 
 
 class TestTsPolicies:

@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from eucbv.env import make_environment
+from eucbv.env import make_environment, sample_rewards_batch
 from eucbv.policies import POLICY_IDS, BatchPolicy, make_batch_policy
 from eucbv.rng import DOMAIN_POLICY, DOMAIN_REWARDS, StreamBatch
 from eucbv.simulator import (
+    NOISE_BLOCK_STEPS,
     checkpoint_times,
     run_batch,
     run_many,
@@ -147,6 +148,31 @@ class TestBatchEquivalence:
                 ]
                 for i in range(3):
                     assert np.array_equal(np.concatenate([p[i] for p in parts]), whole[i])
+
+
+class TestBlockNoise:
+    """run_batch's block-drawn reward noise equals drawing it step by step."""
+
+    @pytest.mark.parametrize("horizon", [NOISE_BLOCK_STEPS - 28, NOISE_BLOCK_STEPS,
+                                         2 * NOISE_BLOCK_STEPS + 1])
+    @pytest.mark.parametrize("env", [_expt1_env(), _gauss_env()], ids=["bern", "gauss"])
+    def test_run_batch_equals_per_step_loop(self, env, horizon):
+        seed, lanes = 41, range(4)
+        streams = StreamBatch.for_runs(seed, lanes, DOMAIN_REWARDS)
+        curves, pulls, _ = run_batch(env, _policy("ucbv", lanes, env.n_arms, horizon, seed),
+                                     horizon, streams, checkpoint_times(horizon, horizon))
+        policy = _policy("ucbv", lanes, env.n_arms, horizon, seed)
+        by_step = StreamBatch.for_runs(seed, lanes, DOMAIN_REWARDS)
+        regret = np.zeros(len(lanes))
+        for t in range(1, horizon + 1):
+            arms = policy.select(t)
+            policy.update(arms, sample_rewards_batch(env, arms, by_step))
+            regret += env.gaps[arms]
+            assert np.array_equal(curves[:, t - 1], regret)
+        assert np.array_equal(pulls, policy.pull_counts())
+        per_reward = 1 if env.kind == "bernoulli" else 2
+        assert streams.counters.tolist() == [per_reward * horizon] * len(lanes)
+        assert np.array_equal(streams.counters, by_step.counters)
 
 
 class TestRunMany:

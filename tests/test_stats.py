@@ -105,6 +105,22 @@ class TestPullStats:
                 assert variances[lane, arm] == pytest.approx(
                     oracles.two_pass_variance(rewards), abs=1e-12)
 
+    def test_record_equals_2d_indexed_adds(self):
+        ps = PullStats(5, 4)
+        counts, sums, sq_sums = (np.zeros((5, 4)) for _ in range(3))
+        rows = np.arange(5)
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            arms = rng.integers(0, 4, size=5)
+            rewards = rng.normal(0.5, 1.0, size=5)
+            ps.record(arms, rewards)
+            counts[rows, arms] += 1.0
+            sums[rows, arms] += rewards
+            sq_sums[rows, arms] += rewards * rewards
+        assert np.array_equal(ps.counts, counts)
+        assert np.array_equal(ps.sums, sums)
+        assert np.array_equal(ps.sq_sums, sq_sums)
+
     def test_pull_counts_dtype(self):
         ps = PullStats(1, 2)
         ps.record(np.array([1]), np.array([0.5]))
