@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .env import BERNOULLI, ArmModel, Environment
+from .policies.eucbv import round_cap
 from .rng import StreamBatch
 
 _LN2 = math.log(2.0)
@@ -199,7 +200,7 @@ def verify_lemma1(ks=None, t_max: int = 10 ** 7, t_points: int = 25) -> GridRepo
             if t < k ** 2.4:
                 skipped += 1
                 continue
-            m_cap = math.floor(0.5 * math.log2(t / math.e))
+            m_cap = round_cap(t)
             for m in range(m_cap + 1):
                 ratio = lemma1_ratio(k, t, m)
                 points += 1
@@ -248,7 +249,7 @@ def verify_lemma2(ks=None, t_max: int = 10 ** 7, t_points: int = 25,
                 skipped += 1
                 continue
             psi = t / (k * k)
-            m_cap = math.floor(0.5 * math.log2(t / math.e))
+            m_cap = round_cap(t)
             for gap in deltas:
                 m_i = elimination_round(gap)
                 if m_i > m_cap:

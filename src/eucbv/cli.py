@@ -4,7 +4,7 @@ Subcommands::
 
     eucbv run (--config PATH | --preset expt1..expt4) [--runs N] [--horizon T]
               [--seed S] [--env-seed S] [--checkpoints C] [--threads N] [--out DIR]
-    eucbv bounds --K K --T T (--delta D | --preset NAME) [--sigma-sq V] [--out DIR]
+    eucbv bounds (--K K --T T --delta D [--sigma-sq V] | --preset NAME) [--out DIR]
     eucbv verify-lemmas [--grid small|full] [--tail-samples N] [--seed S] [--out DIR]
 
 ``run`` writes one curves CSV (policy,run_count,checkpoint_t,mean_regret,
@@ -238,11 +238,13 @@ def main(argv=None) -> int:
             cmd_run(spec, Path(args.out), threads=args.threads)
             return EXIT_OK
         if args.command == "bounds":
-            if args.preset is None and (args.n_arms is None or args.horizon is None
-                                        or args.delta is None):
-                # missing required arguments are usage errors, not validation
-                print("usage: eucbv bounds --K K --T T --delta D  (or --preset NAME)",
-                      file=sys.stderr)
+            given = [v is not None for v in (args.n_arms, args.horizon, args.delta,
+                                             args.sigma_sq)]
+            # a preset fixes K, T, the gaps and the variances; missing or
+            # conflicting arguments are usage errors, not validation
+            if (any(given) if args.preset else not all(given[:3])):
+                print("usage: eucbv bounds (--K K --T T --delta D [--sigma-sq V]"
+                      " | --preset NAME)", file=sys.stderr)
                 return EXIT_USAGE
             out = Path(args.out) if args.out else None
             cmd_bounds(args.n_arms, args.horizon, args.delta, args.preset,

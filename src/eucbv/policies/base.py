@@ -5,6 +5,10 @@ A policy sees timesteps t = 1..T.  For t <= K every policy pulls arm t-1
 it selects according to its rule.  Every policy is a lockstep batch of
 independent lanes, one per run; lane r's trajectory is identical to running
 that lane alone (a one-lane batch) because no computation couples lanes.
+
+The (R, K) ``active`` mask holds the arms each lane may still pull; only
+the eliminating policies (eucbv, ucb-improved, median-elim) clear it, and
+they keep each lane's round index in ``m``.  ``survivors`` reads the mask.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ class BatchPolicy:
         self.horizon = horizon
         self.rng = rng
         self.stats = PullStats(n_runs, n_arms)
+        self.active = np.ones((n_runs, n_arms), dtype=bool)
         self._t = 0
 
     def select(self, t: int) -> np.ndarray:
@@ -44,8 +49,9 @@ class BatchPolicy:
         self._after_update(self._t, arms, rewards)
 
     def survivors(self) -> np.ndarray:
-        """Surviving arm per lane for eliminating policies, else -1."""
-        return np.full(self.n_runs, -1, dtype=np.int64)
+        """Per lane, the lone active arm once one is left, else -1."""
+        only = np.argmax(self.active, axis=1)
+        return np.where(self.active.sum(axis=1) == 1, only, -1).astype(np.int64)
 
     def pull_counts(self) -> np.ndarray:
         return self.stats.pull_counts()

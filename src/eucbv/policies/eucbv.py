@@ -22,8 +22,8 @@ Logs are natural; log arguments <= 1 clamp to 0 (negative widths and quotas
 are meaningless; the theory's regime T >= K**2.4 never triggers the clamp).
 Ties in argmax/max resolve to the lowest arm index.
 
-Every lane keeps its own round state (m, epsilon, n_m, N_m, active set); the
-single-run case is simply n_runs=1.
+Round values (eps_m = 2**-m, n_m, the radius log) are tables over m = 0..M+1;
+a lane keeps its round m, deadline N_m and active set.  One run is n_runs=1.
 """
 
 from __future__ import annotations
@@ -52,6 +52,11 @@ def _quota(psi: float, horizon: int, epsilon) -> np.ndarray:
     """Per-arm round quota n_m = ceil(clamped_log(psi*T*eps^2) / (2 eps))."""
     logs = _clamped_log(psi * horizon * epsilon * epsilon)
     return np.ceil(logs / (2.0 * epsilon)).astype(np.int64)
+
+
+def round_cap(horizon: int) -> int:
+    """The round cap M = floor(log2(T/e)/2) of EUCBV and UCB-Improved."""
+    return math.floor(0.5 * math.log2(horizon / math.e))
 
 
 class EucbvPolicy(BatchPolicy):
@@ -85,27 +90,23 @@ class EucbvPolicy(BatchPolicy):
         self.rho = rho
         self.psi = psi
         self.radius_eps_power = radius_eps_power      # epsilon power inside the radius log
-        self.max_rounds = math.floor(0.5 * math.log2(horizon / math.e))  # M
+        self.max_rounds = round_cap(horizon)          # M
+        # Round m's values for m = 0..M+1: a lane makes at most M+1 resets.
+        eps = np.array([2.0 ** -m for m in range(self.max_rounds + 2)])
+        self._quotas = _quota(psi, horizon, eps)      # n_m
+        self._log_conf = _clamped_log(psi * horizon * eps ** radius_eps_power)
         self.m = np.zeros(n_runs, dtype=np.int64)     # (R,) round index
-        self.epsilon = np.ones(n_runs, dtype=np.float64)  # (R,) 2**-m, exact
-        self.quota = _quota(psi, horizon, self.epsilon)   # (R,) n_m
-        self.deadline = n_arms * self.quota           # (R,) N_m
-        self.log_conf = self._radius_log(self.epsilon)    # (R,) clamped radius log
-        self.active = np.ones((n_runs, n_arms), dtype=bool)
+        self.deadline = np.full(n_runs, n_arms * self._quotas[0])  # (R,) N_m
         # The last step's post-update UCBs (means + radius) from _eliminate,
         # valid while no update or round reset has happened since: _ucb_t
         # is the update count they were computed at, -1 for none.
         self._ucb = None
         self._ucb_t = -1
 
-    def _radius_log(self, epsilon: np.ndarray) -> np.ndarray:
-        return _clamped_log(self.psi * self.horizon * epsilon ** self.radius_eps_power)
-
     def _radius(self) -> np.ndarray:
         """Confidence radius of every (lane, arm) cell under its lane's round."""
-        return confidence_radius(
-            self.stats.variances(), self.stats.counts, self.log_conf[:, None], self.rho
-        )
+        log_conf = self._log_conf[self.m][:, None]
+        return confidence_radius(self.stats.variances(), self.stats.counts, log_conf, self.rho)
 
     def _select(self, t: int) -> np.ndarray:
         """Per-lane arm maximizing mean + radius over the active set.
@@ -148,18 +149,10 @@ class EucbvPolicy(BatchPolicy):
 
     def _advance_round(self, t: int, lanes: np.ndarray) -> None:
         """Round reset for the lanes in ``lanes`` with t >= N_m and m <= M:
-        halve epsilon, set n_{m+1}, N_{m+1} = t + |B| * n_{m+1}, increment m."""
+        increment m and set N_{m+1} = t + |B| * n_{m+1}."""
         adv = lanes & (t >= self.deadline) & (self.m <= self.max_rounds)
         if not adv.any():
             return
         self._ucb_t = -1  # the reset lanes' radii change
-        self.epsilon[adv] *= 0.5
-        quota = _quota(self.psi, self.horizon, self.epsilon[adv])
-        self.quota[adv] = quota
-        self.deadline[adv] = t + self.active[adv].sum(axis=1) * quota
         self.m[adv] += 1
-        self.log_conf[adv] = self._radius_log(self.epsilon[adv])
-
-    def survivors(self) -> np.ndarray:
-        only = np.argmax(self.active, axis=1)
-        return np.where(self.active.sum(axis=1) == 1, only, -1).astype(np.int64)
+        self.deadline[adv] = t + self.active[adv].sum(axis=1) * self._quotas[self.m[adv]]

@@ -3,8 +3,10 @@
 These policies have per-run control flow (queues, round-robin sweeps), laid
 out lane-vectorized: a lane's queue or sweep is a row of an arm mask plus a
 cursor column, consumed in ascending arm order from the cursor.  UCB-Improved
-and Median Elimination also keep a per-lane round index into a per-round
-quota table computed once with the same float operations as the listings.
+and Median Elimination sweep the ``active`` mask that ``BatchPolicy`` owns,
+clear the arms they eliminate there, and keep a per-lane round index ``m``
+into a per-round quota table computed once with the same float operations as
+the listings; UCB-Improved's last round is EUCBV's cap M (``round_cap``).
 Each counts the t <= K initialization pulls (arm t-1) toward its round
 bookkeeping where the listing does.  Per-run scalar transcriptions of all
 three are kept in ``tests/oracles.py`` as pull-for-pull references.
@@ -17,6 +19,7 @@ import math
 import numpy as np
 
 from .base import BatchPolicy
+from .eucbv import round_cap
 from .kl import kl_bernoulli
 
 
@@ -76,20 +79,18 @@ class _SweepPolicy(BatchPolicy):
         super().__init__(n_runs, n_arms, horizon, rng)
         self._quotas = np.array(quotas, dtype=np.int64)
         self._quota = np.full(n_runs, self._quotas[0])
-        self._active = np.ones((n_runs, n_arms), dtype=bool)
-        self._n_active = np.full(n_runs, n_arms, dtype=np.int64)
         self._cursor = np.zeros(n_runs, dtype=np.int64)
-        self._round = np.zeros(n_runs, dtype=np.int64)
+        self.m = np.zeros(n_runs, dtype=np.int64)
         self._cols = np.arange(n_arms)
         self._rows = np.arange(n_runs)
 
     def _sweep(self, counts: np.ndarray) -> np.ndarray:
         """Per lane, the next active arm below quota cycling from the cursor;
         when every active arm met the quota, the next active arm."""
-        cand = self._active & (counts < self._quota[:, None])
+        cand = self.active & (counts < self._quota[:, None])
         spent = ~cand.any(axis=1)
         if spent.any():
-            cand[spent] = self._active[spent]
+            cand[spent] = self.active[spent]
         ahead = cand & (self._cols >= self._cursor[:, None])
         arms = np.where(ahead.any(axis=1), np.argmax(ahead, axis=1), np.argmax(cand, axis=1))
         self._cursor = arms + 1
@@ -101,18 +102,13 @@ class _SweepPolicy(BatchPolicy):
         lanes = np.nonzero(live & (counts[self._rows, arms] >= self._quota))[0]
         if not lanes.size:
             return lanes
-        least = np.where(self._active[lanes], counts[lanes], np.inf).min(axis=1)
+        least = np.where(self.active[lanes], counts[lanes], np.inf).min(axis=1)
         return lanes[least >= self._quota[lanes]]
 
     def _next_round(self, lanes: np.ndarray) -> None:
-        self._n_active[lanes] = self._active[lanes].sum(axis=1)
-        self._round[lanes] += 1
-        self._quota[lanes] = self._quotas[np.minimum(self._round[lanes], self._quotas.size - 1)]
+        self.m[lanes] += 1
+        self._quota[lanes] = self._quotas[np.minimum(self.m[lanes], self._quotas.size - 1)]
         self._cursor[lanes] = 0
-
-    def survivors(self) -> np.ndarray:
-        only = np.argmax(self._active, axis=1)
-        return np.where(self._n_active == 1, only, -1).astype(np.int64)
 
 
 class UcbImprovedPolicy(_SweepPolicy):
@@ -128,7 +124,7 @@ class UcbImprovedPolicy(_SweepPolicy):
     policy_id = "ucb-improved"
 
     def __init__(self, n_runs, n_arms, horizon, rng=None):
-        max_rounds = math.floor(0.5 * math.log2(horizon / math.e))
+        max_rounds = round_cap(horizon)
         quotas, widths = [], []
         d = 1.0
         for _ in range(max(max_rounds, 0) + 1):
@@ -145,15 +141,15 @@ class UcbImprovedPolicy(_SweepPolicy):
 
     def _after_update(self, t, arms, rewards):
         counts = self.stats.counts
-        live = (self._n_active > 1) & (self._round <= self._max_rounds)
+        live = (self.active.sum(axis=1) > 1) & (self.m <= self._max_rounds)
         done = self._completed(arms, counts, live)
         if not done.size:
             return
-        c = self._widths[self._round[done]][:, None]
+        c = self._widths[self.m[done]][:, None]
         means = self.stats.sums[done] / counts[done]
-        active = self._active[done]
+        active = self.active[done]
         threshold = np.where(active, means - c, -np.inf).max(axis=1)
-        self._active[done] = active & ~(means + c < threshold[:, None])
+        self.active[done] = active & ~(means + c < threshold[:, None])
         self._next_round(done)
 
 
@@ -191,12 +187,12 @@ class MedianElimPolicy(_SweepPolicy):
         # A committed lane's round statistics are never read again.
         self._round_counts[self._rows, arms] += 1.0
         self._round_sums[self._rows, arms] += rewards
-        done = self._completed(arms, self._round_counts, self._n_active > 1)
+        done = self._completed(arms, self._round_counts, self.active.sum(axis=1) > 1)
         for lane in done.tolist():
-            idx = np.nonzero(self._active[lane])[0]
+            idx = np.nonzero(self.active[lane])[0]
             means = self._round_sums[lane, idx] / self._round_counts[lane, idx]
             med = float(np.median(means))
-            self._active[lane, idx[~(means >= med)]] = False
+            self.active[lane, idx[~(means >= med)]] = False
         if done.size:
             self._round_counts[done] = 0.0
             self._round_sums[done] = 0.0

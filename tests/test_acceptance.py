@@ -174,14 +174,19 @@ def test_criterion_5_invariant_suite():
         prev = 0.0
         last_active = policy.active[0].copy()
         dead_counts = {}
+        prev_m = 0
         for t in range(1, horizon + 1):
             arms = policy.select(t)
             arm = int(arms[0])
             if t > env.n_arms:
                 assert last_active[arm], "pulled an eliminated arm"
             policy.update(arms, sample_rewards_batch(env, arms, stream))
-            assert policy.epsilon[0] == 2.0 ** -policy.m[0]  # exact halving
-            assert policy.m[0] <= policy.max_rounds + 1
+            m = int(policy.m[0])
+            if m != prev_m:  # one round at a time: N_m = t + |B| * n_m
+                assert m == prev_m + 1
+                assert policy.deadline[0] == t + policy.active[0].sum() * policy._quotas[m]
+                prev_m = m
+            assert m <= policy.max_rounds + 1
             assert policy.active[0].any()                    # never empty
             for dead in np.nonzero(~policy.active[0])[0]:
                 d = int(dead)

@@ -279,9 +279,15 @@ preset = expt3
         assert table[0] == "algorithm,gap_dependent,gap_independent"
         assert len(table) == 7
 
-    def test_bounds_missing_arguments_are_usage_errors(self):
+    def test_bounds_missing_arguments_are_usage_errors(self, tmp_path):
         assert main(["bounds", "--K", "20", "--T", "100"]) == 2
         assert main(["bounds", "--T", "100", "--delta", "0.1"]) == 2
+        # a preset fixes K, T, the gaps and the variances
+        for extra in (["--T", "5"], ["--T", "5", "--K", "3", "--delta", "0.2"],
+                      ["--K", "3"], ["--delta", "0.2"], ["--sigma-sq", "nan"]):
+            out = tmp_path / "_".join(extra)
+            assert main(["bounds", "--preset", "expt1", *extra, "--out", str(out)]) == 2
+            assert not out.exists()
 
     def test_bounds_invalid_regime_is_validation_error(self):
         assert main(["bounds", "--K", "20", "--T", "100", "--delta", "-0.5"]) == 3

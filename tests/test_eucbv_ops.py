@@ -35,22 +35,27 @@ class TestInit:
     def test_expt1_scale(self):
         policy = _policy(20, 60000)
         assert policy.psi == pytest.approx(150.0)
-        assert policy.quota[0] == 9 == oracles.round_quota(150, 60000, 1.0)
+        assert policy._quotas[0] == 9 == oracles.round_quota(150, 60000, 1.0)
         assert policy.deadline[0] == 180
         assert policy.max_rounds == 7 == oracles.round_cap(60000)
-        assert policy.epsilon[0] == 1.0
         assert policy.m[0] == 0
         assert policy.active.all()
+        # n_m for every round m = 0..M+1 a lane can reach, at eps_m = 2**-m
+        assert policy._quotas.tolist() == [
+            oracles.round_quota(150, 60000, 2.0 ** -m) for m in range(7 + 2)]
 
     def test_small_instance(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             policy = _policy(2, 16, psi=4.0)
-        assert policy.quota[0] == 3 == oracles.round_quota(4, 16, 1.0)
+        assert policy._quotas[0] == 3 == oracles.round_quota(4, 16, 1.0)
         assert policy.deadline[0] == 6
 
     def test_epsilon_starts_at_one(self):
-        assert _policy(5, 1000).epsilon[0] == 1.0
+        policy = _policy(5, 1000)  # psi*T = 40 * 1000 at eps_0 = 1
+        assert policy.m[0] == 0
+        assert policy._quotas[0] == oracles.round_quota(40, 1000, 1.0)
+        assert policy._log_conf[0] == pytest.approx(math.log(40 * 1000), rel=1e-15)
 
     def test_horizon_too_small_rejected(self):
         with pytest.raises(ValueError):
@@ -71,7 +76,8 @@ class TestInit:
 
 def _radius(policy, v_hat, pulls):
     """Confidence radius of one arm under lane 0's current round."""
-    return float(confidence_radius(v_hat, pulls, policy.log_conf[0], policy.rho))
+    log_conf = policy._log_conf[policy.m[0]]
+    return float(confidence_radius(v_hat, pulls, log_conf, policy.rho))
 
 
 class TestConfidence:
@@ -175,23 +181,21 @@ class TestAdvanceRound:
         policy = _policy(20, 60000)
         policy._advance_round(180, LANE)
         assert policy.m[0] == 1
-        assert policy.epsilon[0] == 0.5
-        assert policy.quota[0] == 15 == oracles.round_quota(150, 60000, 0.5)
+        assert policy._quotas[1] == 15 == oracles.round_quota(150, 60000, 0.5)
         assert policy.deadline[0] == 180 + 20 * 15
 
     def test_before_deadline_no_change(self):
         policy = _policy(20, 60000)
         policy._advance_round(179, LANE)
-        assert policy.m[0] == 0 and policy.epsilon[0] == 1.0
+        assert policy.m[0] == 0 and policy.deadline[0] == 180
 
     def test_no_advancement_past_round_cap(self):
         policy = _policy(20, 60000)
         policy.m[0] = policy.max_rounds + 1
         policy.deadline[0] = 0
-        eps = policy.epsilon[0]
         policy._advance_round(10 ** 6, LANE)
         assert policy.m[0] == policy.max_rounds + 1
-        assert policy.epsilon[0] == eps
+        assert policy.deadline[0] == 0
 
     def test_deadline_uses_current_timestep(self):
         policy = _policy(20, 60000)
@@ -203,8 +207,12 @@ class TestAdvanceRound:
         s2 = _policy(20, 60000, radius_eps_power=2)
         for s in (s1, s2):
             s._advance_round(180, LANE)
-        assert s1.log_conf[0] == pytest.approx(math.log(150 * 60000 * 0.5))
-        assert s2.log_conf[0] == pytest.approx(math.log(150 * 60000 * 0.25))
+        assert s1._log_conf[s1.m[0]] == pytest.approx(math.log(150 * 60000 * 0.5))
+        assert s2._log_conf[s2.m[0]] == pytest.approx(math.log(150 * 60000 * 0.25))
+        for power, s in ((1, s1), (2, s2)):  # every round m = 0..M+1
+            assert s._log_conf.tolist() == pytest.approx(
+                [float(oracles.clamped_log(150 * 60000 * 2.0 ** -(power * m)))
+                 for m in range(s.max_rounds + 2)], rel=1e-15)
 
     def test_committed_lane_skips_round_reset(self):
         # Lane 0 is down to one arm, lane 1 is not; both are past N_0 = 180.
@@ -250,13 +258,19 @@ class TestPolicyInvariants:
     def test_round_count_and_epsilon_relation(self):
         policy = EucbvPolicy(1, 4, 400)
         rng = np.random.default_rng(5)
+        prev_m = 0
         for t in range(1, 401):
             arms = policy.select(t)
             policy.update(arms, rng.random(1))
-            st = policy
-            assert st.epsilon[0] == 2.0 ** -st.m[0]
-            assert st.m[0] <= st.max_rounds + 1
-            assert st.active[0].any()
+            m = int(policy.m[0])
+            if m != prev_m:  # a reset moves to eps_m = 2**-m: N_m = t + |B| n_m
+                assert m == prev_m + 1
+                assert policy.deadline[0] == t + policy.active[0].sum() * \
+                    oracles.round_quota(policy.psi, 400, 2.0 ** -m)
+                prev_m = m
+            assert m <= policy.max_rounds + 1
+            assert policy.active[0].any()
+        assert prev_m > 0, "the run should reset at least one round"
 
     def test_eliminated_arms_stay_frozen(self):
         policy = EucbvPolicy(1, 3, 600)

@@ -1,9 +1,11 @@
-"""Source hygiene: no imported-but-unused names, no dangling exports.
+"""Source hygiene: no imported-but-unused names, no dangling exports, no
+dead private code.
 
-No linter ships with the project, so these checks stand in for the two rules
+No linter ships with the project, so these checks stand in for the rules
 that matter most here: every import in ``src/eucbv`` is read somewhere in its
 module (a package ``__init__`` may instead re-export it through
-``__all__``), and every name a package exports actually resolves.
+``__all__``), every name a package exports actually resolves, and every
+private function, class or method is referenced somewhere in ``src/eucbv``.
 """
 
 from __future__ import annotations
@@ -46,6 +48,37 @@ def _read(tree: ast.Module) -> set:
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
+def _private_definitions(tree: ast.Module) -> dict:
+    """Private (single-underscore, not dunder) module-level functions and
+    classes, and private methods of module-level classes -> their line."""
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = {}
+    for node in tree.body:
+        if isinstance(node, defs) and private(node.name):
+            found[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs[:2]) and private(item.name):
+                    found[f"{node.name}.{item.name}"] = item.lineno
+    return found
+
+
+def _referenced(tree: ast.Module) -> set:
+    """Every name or attribute a module reads, writes or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
 def test_sources_found():
     assert SRC / "__init__.py" in MODULES
     assert SRC / "policies" / "eucbv.py" in MODULES
@@ -66,3 +99,14 @@ def test_all_names_resolve(module_name):
     assert len(set(module.__all__)) == len(module.__all__), "duplicate __all__ entry"
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
+
+
+def test_no_unreferenced_private_definitions():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in MODULES}
+    referenced = set().union(*(_referenced(tree) for tree in trees.values()))
+    dead = sorted(f"{path.relative_to(SRC)}: {name} (line {line})"
+                  for path, tree in trees.items()
+                  for name, line in _private_definitions(tree).items()
+                  if name.rpartition(".")[2] not in referenced)
+    assert not dead, f"private definitions nothing in src/eucbv references: {dead}"

@@ -172,7 +172,7 @@ def _fresh_index(pid, policy):
     stats = policy.stats
     if pid == "eucbv":
         radius = confidence_radius(stats.variances(), stats.counts,
-                                   policy.log_conf[:, None], policy.rho)
+                                   policy._log_conf[policy.m][:, None], policy.rho)
         return stats.means() + radius
     if pid == "moss":
         return moss_index(stats.means(), stats.counts, policy.horizon, policy.n_arms)
@@ -321,7 +321,7 @@ class TestRoundPolicies:
         # quotas 150, 364, 820: 5 -> 3 -> 2 -> 1 arm within the horizon; the
         # odd rounds keep the arm whose mean is the median
         assert (batch.survivors() >= 0).all()
-        assert batch._round.tolist() == [3, 3, 3]
+        assert batch.m.tolist() == [3, 3, 3]
 
     def test_ucb_improved_stops_at_round_cap(self):
         # T = 695 puts T d^2 just under 4e in the last round (M = 3), whose
@@ -350,12 +350,12 @@ class TestRoundPolicies:
         quota = int(policy._quotas[0])
         means = (0.9, 0.6, 0.4, 0.1)
         t = 0
-        while policy._n_active[0] == 4:
+        while policy.active[0].sum() == 4:
             t += 1
             arm = int(policy.select(t)[0])
             policy.update(np.array([arm]), np.array([means[arm]]))  # deterministic rewards
             assert t <= 4 * quota + 4
-        assert policy._active[0].tolist() == [True, True, False, False]
+        assert policy.active[0].tolist() == [True, True, False, False]
         # fresh per-round estimates: round counters were reset
         assert policy._round_counts.sum() == 0
 

@@ -124,6 +124,7 @@ def test_eucbv_simulation_invariants(rnd, seed):
     regret = 0.0
     prev_regret = 0.0
     pull_log = []
+    prev_m = 0
 
     for t in range(1, horizon + 1):
         arms = policy.select(t)
@@ -133,8 +134,12 @@ def test_eucbv_simulation_invariants(rnd, seed):
             assert policy.active[0, arm], "pulled an eliminated arm"
         policy.update(arms, sample_rewards_batch(env, arms, lane))
         pull_log.append(arm)
-        assert policy.epsilon[0] == 2.0 ** -policy.m[0]
-        assert policy.m[0] <= policy.max_rounds + 1
+        m = int(policy.m[0])
+        if m != prev_m:  # a reset enters round m: N_m = t + |B| * n_m
+            assert m == prev_m + 1
+            assert policy.deadline[0] == t + policy.active[0].sum() * policy._quotas[m]
+            prev_m = m
+        assert m <= policy.max_rounds + 1
         regret += gaps[arm]
         assert regret >= prev_regret >= 0.0
         prev_regret = regret

@@ -112,6 +112,7 @@ class TestRunOnce:
 # and eucbv commits every lane.
 _HORIZON = {"ucb-improved": 1200, "median-elim": 3200}
 _PARAMS = {"median-elim": {"epsilon": 0.9, "delta": 0.9}}
+_ELIMINATING = ("eucbv", "ucb-improved", "median-elim")
 
 
 class TestBatchEquivalence:
@@ -126,6 +127,14 @@ class TestBatchEquivalence:
             for env in (_expt1_env(), _gauss_env()):
                 batch = _policy(pid, lanes, env.n_arms, horizon, seed, _PARAMS.get(pid))
                 curves, pulls, survivors = _run(env, batch, horizon, seed, lanes)
+                # survivors reads the active mask, which only eliminating
+                # policies ever clear
+                left = batch.active.sum(axis=1)
+                assert np.array_equal(
+                    survivors, np.where(left == 1, np.argmax(batch.active, axis=1), -1))
+                assert (left >= 1).all()
+                if pid not in _ELIMINATING:
+                    assert batch.active.all()
                 for k in lanes:
                     single = _policy(pid, [k], env.n_arms, horizon, seed, _PARAMS.get(pid))
                     c1, p1, s1 = _run(env, single, horizon, seed, [k])
