@@ -5,6 +5,10 @@ pseudo-regret exactly; an environment holds arms of a single kind.  Gaussian
 samples are deliberately NOT clipped to [0, 1] even though the algorithms'
 analyses assume bounded rewards: the Gaussian experiment testbeds run the
 algorithms on unbounded samples, and clipping would shift every mean.
+
+Rewards come in two steps: ``reward_noise`` draws a block of per-lane noise
+from the reward streams, and ``sample_rewards_batch`` turns one step of it
+into rewards for the arms pulled.
 """
 
 from __future__ import annotations
@@ -109,48 +113,22 @@ def make_environment(spec) -> Environment:
     return Environment(tuple(arms), arms[0].kind, means, variances, gaps, optimal)
 
 
-def sample_rewards_batch(env: Environment, arms: np.ndarray, streams) -> np.ndarray:
-    """One reward per lane for the chosen arms.  A Bernoulli draw consumes
-    one uniform of the lane's stream, a Gaussian draw exactly two.
+def reward_noise(env: Environment, streams: StreamBatch, steps: int) -> np.ndarray:
+    """The next ``steps`` steps of reward noise per lane; shape (R, steps).
 
-    ``streams`` is a StreamBatch or a :class:`NoiseBlocks` over one; only its
-    ``uniform_each`` (Bernoulli) or ``normal_each`` (Gaussian) is called.
+    A reward's noise does not depend on the arm pulled: a Bernoulli step
+    takes one uniform of the lane's stream, a Gaussian step one standard
+    normal (two uniforms).  Draw j of a stream depends only on (key, j), so
+    a block equals the same steps drawn one at a time.
     """
     if env.kind == BERNOULLI:
-        u = streams.uniform_each()
-        return (u < env.means[arms]).astype(np.float64)
-    z = streams.normal_each()
-    return env.means[arms] + np.sqrt(env.variances[arms]) * z
+        return streams.uniform_block(steps)
+    return streams.normal_block(steps)
 
 
-class NoiseBlocks:
-    """A StreamBatch's reward noise, fetched ``block`` steps per lane at a time.
-
-    A reward's noise does not depend on the arm, so each lane's next
-    ``block`` uniforms (Bernoulli, ``uniform_block``) or normals (Gaussian,
-    ``normal_block``) are drawn in one call and handed out one step per
-    ``uniform_each``/``normal_each`` call.  Draw j of a stream depends only
-    on (key, j), so the values equal per-step draws.  At most ``horizon``
-    steps are ever drawn: the last block is cut to fit, so each lane's
-    counter ends at exactly the per-step count.
-    """
-
-    __slots__ = ("_draw", "_block", "_left", "_steps")
-
-    def __init__(self, env: Environment, streams: StreamBatch, horizon: int, block: int):
-        self._draw = streams.uniform_block if env.kind == BERNOULLI else streams.normal_block
-        self._block = block
-        self._left = horizon  # steps not yet drawn
-        self._steps = iter(())
-
-    def _next_step(self) -> np.ndarray:
-        """The next step's noise, one value per lane; shape (R,)."""
-        noise = next(self._steps, None)
-        if noise is None:
-            n = min(self._block, self._left)
-            self._left -= n
-            self._steps = iter(np.ascontiguousarray(self._draw(n).T))
-            noise = next(self._steps)
-        return noise
-
-    uniform_each = normal_each = _next_step
+def sample_rewards_batch(env: Environment, arms: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """One reward per lane for the chosen arms, from one step's (R,) noise:
+    ``noise < mean`` for Bernoulli arms, ``mean + sd * noise`` for Gaussian."""
+    if env.kind == BERNOULLI:
+        return (noise < env.means[arms]).astype(np.float64)
+    return env.means[arms] + np.sqrt(env.variances[arms]) * noise

@@ -6,6 +6,8 @@ ts-gauss, bayes-ucb, dmed, ucb-improved, median-elim.
 
 from __future__ import annotations
 
+import math
+
 from .base import BatchPolicy
 from .bayes import BayesUcbPolicy, TsBetaPolicy, TsGaussPolicy, bayes_ucb_index
 from .eucbv import EucbvPolicy, confidence_radius
@@ -49,7 +51,8 @@ PARAM_SPECS = {
 
 
 def validate_params(policy_id: str, params: dict) -> dict:
-    """Type-check config parameters; unknown keys are errors."""
+    """Type-check config parameters; unknown keys and non-finite floats are
+    errors."""
     if policy_id not in POLICY_IDS:
         raise ValueError(f"unknown policy id {policy_id!r} (known: {', '.join(POLICY_IDS)})")
     spec = PARAM_SPECS.get(policy_id, {})
@@ -57,7 +60,10 @@ def validate_params(policy_id: str, params: dict) -> dict:
     for key, value in (params or {}).items():
         if key not in spec:
             raise ValueError(f"policy {policy_id!r} does not accept parameter {key!r}")
-        out[key] = spec[key](value)
+        value = spec[key](value)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"policy {policy_id!r} parameter {key!r} must be finite, got {value}")
+        out[key] = value
     return out
 
 

@@ -105,24 +105,13 @@ class StreamBatch:
     def __len__(self) -> int:
         return self.keys.shape[0]
 
-    def uniform_each(self) -> np.ndarray:
-        """One uniform per lane; shape (R,)."""
-        self.counters += np.uint64(1)
-        return _uniforms(self.keys, self.counters)
-
     def uniform_lanes(self, lanes: np.ndarray) -> np.ndarray:
         """One uniform for each lane index in ``lanes`` only."""
-        self.counters[lanes] += np.uint64(1)
-        return _uniforms(self.keys[lanes], self.counters[lanes])
+        return self._uniform_block_rows(lanes, 1)[:, 0]
 
     def uniform_block(self, n: int) -> np.ndarray:
         """``n`` uniforms per lane; shape (R, n); lane r's draws are sequential."""
         return self._uniform_block_rows(slice(None), n)
-
-    def normal_each(self) -> np.ndarray:
-        """One standard normal per lane (2 uniforms each)."""
-        u = self.uniform_block(2)
-        return _box_muller(u[:, 0], u[:, 1])
 
     def normal_block(self, n: int) -> np.ndarray:
         """``n`` standard normals per lane; shape (R, n); 2n uniforms per lane."""

@@ -10,13 +10,14 @@ consumes the streams derived from (master_seed, k), whether executed alone
 into fixed-size chunks (independent of --threads) and merges results by run
 index, so the aggregate bytes never depend on the degree of parallelism.
 
-run_batch fetches each lane's reward noise in fixed blocks of
-NOISE_BLOCK_STEPS steps (the last one cut at the horizon) and builds one
-step's rewards per sample_rewards_batch call.  Each draw of a counter-based
-stream depends only on (key, j), so the values, and every lane's final
-counter, equal those of per-step draws.  Policies may keep per-step caches
-(MOSS and OCUCB per-cell indices, EUCBV's last upper bounds); they evaluate
-the same expressions on the same inputs, so they are exact by construction.
+run_batch draws each lane's reward noise (``reward_noise``) in blocks of
+NOISE_BLOCK_STEPS steps, the last one cut at the horizon, and turns one step
+of it at a time into rewards (``sample_rewards_batch``).  Each draw of a
+counter-based stream depends only on (key, j), so the values, and every
+lane's final counter, equal those of per-step draws.  Policies may keep
+per-step caches (MOSS and OCUCB per-cell indices, EUCBV's last upper bounds);
+they evaluate the same expressions on the same inputs, so they are exact by
+construction.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Environment, NoiseBlocks, make_environment, sample_rewards_batch
+from .env import Environment, reward_noise, sample_rewards_batch
 from .policies import make_batch_policy
 from .rng import DOMAIN_POLICY, DOMAIN_REWARDS, StreamBatch
 
@@ -71,36 +72,31 @@ def run_batch(env: Environment, policy, horizon: int, reward_streams: StreamBatc
     n_runs = len(reward_streams)
     curves = np.empty((n_runs, len(checkpoint_ts)), dtype=np.float64)
     regret = np.zeros(n_runs, dtype=np.float64)
-    noise = NoiseBlocks(env, reward_streams, horizon, NOISE_BLOCK_STEPS)
     ck = 0
     next_ck = int(checkpoint_ts[0])
-    for t in range(1, horizon + 1):
-        arms = policy.select(t)
-        rewards = sample_rewards_batch(env, arms, noise)
-        policy.update(arms, rewards)
-        regret += gaps[arms]
-        if t == next_ck:
-            curves[:, ck] = regret
-            ck += 1
-            next_ck = int(checkpoint_ts[ck]) if ck < len(checkpoint_ts) else 0
+    for lo in range(0, horizon, NOISE_BLOCK_STEPS):
+        steps = min(NOISE_BLOCK_STEPS, horizon - lo)
+        block = np.ascontiguousarray(reward_noise(env, reward_streams, steps).T)
+        for t, noise in enumerate(block, lo + 1):
+            arms = policy.select(t)
+            rewards = sample_rewards_batch(env, arms, noise)
+            policy.update(arms, rewards)
+            regret += gaps[arms]
+            if t == next_ck:
+                curves[:, ck] = regret
+                ck += 1
+                next_ck = int(checkpoint_ts[ck]) if ck < len(checkpoint_ts) else 0
     return curves, policy.pull_counts(), policy.survivors()
 
 
-def _chunk_bounds(runs: int) -> list:
-    return [(lo, min(lo + CHUNK_RUNS, runs)) for lo in range(0, runs, CHUNK_RUNS)]
-
-
 def _simulate_chunk(args):
-    (arm_specs, policy_id, params, horizon, master_seed, lo, hi, ck_list) = args
-    env = make_environment(arm_specs)
+    env, policy_id, params, horizon, master_seed, lo, hi, ck = args
     run_indices = range(lo, hi)
     reward_streams = StreamBatch.for_runs(master_seed, run_indices, DOMAIN_REWARDS)
     policy_streams = StreamBatch.for_runs(master_seed, run_indices, DOMAIN_POLICY)
     policy = make_batch_policy(policy_id, hi - lo, env.n_arms, horizon,
                                params, rng=policy_streams)
-    ck = np.asarray(ck_list, dtype=np.int64)
-    curves, pulls, survivors = run_batch(env, policy, horizon, reward_streams, ck)
-    return lo, curves, pulls, survivors
+    return lo, run_batch(env, policy, horizon, reward_streams, ck)[0]
 
 
 def run_many(env: Environment, policy, horizon: int, runs: int, master_seed: int, *,
@@ -116,10 +112,9 @@ def run_many(env: Environment, policy, horizon: int, runs: int, master_seed: int
         raise ValueError("runs must be >= 1")
     ck = checkpoint_times(horizon, n_checkpoints)
     policy_id, params = (policy, None) if isinstance(policy, str) else policy
-    arm_specs = tuple((a.kind, a.mean, a.variance) for a in env.arms)
     tasks = [
-        (arm_specs, policy_id, params, horizon, master_seed, lo, hi, ck.tolist())
-        for lo, hi in _chunk_bounds(runs)
+        (env, policy_id, params, horizon, master_seed, lo, min(lo + CHUNK_RUNS, runs), ck)
+        for lo in range(0, runs, CHUNK_RUNS)
     ]
     curves = np.empty((runs, len(ck)), dtype=np.float64)
     if threads <= 1 or len(tasks) == 1:
@@ -130,7 +125,7 @@ def run_many(env: Environment, policy, horizon: int, runs: int, master_seed: int
             results = list(pool.map(_simulate_chunk, tasks))
         finally:
             pool.shutdown()
-    for lo, chunk_curves, _pulls, _survivors in results:
+    for lo, chunk_curves in results:
         curves[lo:lo + chunk_curves.shape[0]] = chunk_curves
     return _aggregate(policy_id, curves, ck)
 

@@ -1,9 +1,13 @@
 """Online per-arm sufficient statistics.
 
 The variance estimator is the biased one (divisor z, not z-1), computed from
-running sums: v = max(0, sq_sum/z - (sum/z)^2).  The max(0, .) clamp guards
-against catastrophic cancellation; with rewards of magnitude O(1) and desk
-horizons the cancellation itself is benign.
+running sums: v = max(0, sq_sum/z - (sum/z)^2).  The max(0, .) clamp keeps
+a cancelled difference from going negative, but the cancellation itself
+grows with the rewards' mean.  For 10k draws of N(c, 0.25) the estimate at
+c = 1e4 matches c = 0 to five digits, at c = 1e6 it is off in the second
+digit (0.2615 for 0.2490 in one sample), and at c = 1e8 it is noise (0 in
+that sample, 18 in another).  Rewards in [0, 1], as the analysis assumes,
+are far from that limit.
 """
 
 from __future__ import annotations

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,16 +35,25 @@ from eucbv.bounds import (
     verify_lemma2,
     verify_lemma6,
 )
-from eucbv.env import ArmModel, make_environment, sample_rewards_batch
+from eucbv.env import ArmModel, make_environment, reward_noise, sample_rewards_batch
 from eucbv.policies import EucbvPolicy
 from eucbv.rng import StreamBatch
 from eucbv.stats import PullStats
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _src_env() -> dict:
+    """This environment with the checkout's ``src`` first on PYTHONPATH, so a
+    child interpreter imports the package under test, installed or not."""
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
 def _cli(args, timeout=900):
     proc = subprocess.run(
         [sys.executable, "-m", "eucbv", *args],
-        capture_output=True, text=True, timeout=timeout,
+        capture_output=True, text=True, timeout=timeout, env=_src_env(),
     )
     assert proc.returncode == 0, f"CLI failed: {args}\n{proc.stderr}"
     return proc
@@ -180,7 +191,8 @@ def test_criterion_5_invariant_suite():
             arm = int(arms[0])
             if t > env.n_arms:
                 assert last_active[arm], "pulled an eliminated arm"
-            policy.update(arms, sample_rewards_batch(env, arms, stream))
+            noise = reward_noise(env, stream, 1)[:, 0]
+            policy.update(arms, sample_rewards_batch(env, arms, noise))
             m = int(policy.m[0])
             if m != prev_m:  # one round at a time: N_m = t + |B| * n_m
                 assert m == prev_m + 1

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,15 @@ from eucbv.config import (
     load_config,
     preset_spec,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _src_env() -> dict:
+    """This environment with the checkout's ``src`` first on PYTHONPATH, so a
+    child interpreter imports the package under test, installed or not."""
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
 def _write(tmp_path, text, name="expt.ini"):
@@ -220,9 +231,23 @@ class TestCli:
             assert (tmp_path / "t1" / name).read_bytes() == \
                 (tmp_path / "t2" / name).read_bytes()
 
-    def test_validation_exit_code(self, tmp_path):
+    def test_validation_exit_code(self, tmp_path, capsys):
         assert main(["run", "--preset", "expt1", "--runs", "0",
                      "--out", str(tmp_path)]) == 3
+        # bad parameters of a later policy fail before the first one runs
+        bad = (
+            MINIMAL + "[policy.eucbv]\nrho = nan\n",
+            MINIMAL + "[policy.eucbv]\npsi = inf\n",
+            MINIMAL + "[policy.ocucb]\nalpha = inf\n",
+            MINIMAL + "[policy.eucbv]\nrho = -1\n",
+            MINIMAL.replace("horizon = 50", "horizon = 3") + "[policy.eucbv]\n",
+        )
+        for i, text in enumerate(bad):
+            out = tmp_path / f"out{i}"
+            path = _write(tmp_path, text, f"bad{i}.ini")
+            assert main(["run", "--config", path, "--out", str(out)]) == 3, text
+            assert not out.exists()
+            assert "[tiny] ucb1:" not in capsys.readouterr().err
 
     def test_non_finite_environment_exit_code(self, tmp_path):
         text = MINIMAL.replace("kind = bernoulli", "kind = gaussian").replace(
@@ -318,7 +343,7 @@ preset = expt3
         proc = subprocess.run(
             [sys.executable, "-m", "eucbv", "bounds", "--K", "4", "--T", "1000",
              "--delta", "0.2"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_src_env(),
         )
         assert proc.returncode == 0
         assert "gap_dependent" in proc.stdout

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from eucbv.env import ArmModel, make_environment, sample_rewards_batch
+from eucbv.env import ArmModel, make_environment, reward_noise, sample_rewards_batch
 from eucbv.rng import StreamBatch, derive_key
 from oracles import RngStream
 
@@ -16,10 +16,15 @@ def _lane(seed, run=0):
     return StreamBatch.for_runs(seed, [run])
 
 
+def _step(env, arms, streams):
+    """One step's rewards for ``arms``, drawing that step's noise alone."""
+    return sample_rewards_batch(env, arms, reward_noise(env, streams, 1)[:, 0])
+
+
 def _draws(env, arm, streams, n):
     """``n`` successive rewards of ``arm`` on every lane; shape (n, R)."""
     arms = np.full(len(streams), arm, dtype=np.int64)
-    return np.array([sample_rewards_batch(env, arms, streams) for _ in range(n)])
+    return np.array([_step(env, arms, streams) for _ in range(n)])
 
 
 class TestArmModel:
@@ -135,12 +140,12 @@ class TestSampleReward:
 
     def test_fixed_draw_counts(self):
         lane = _lane(5)
-        sample_rewards_batch(make_environment([("bernoulli", 0.5)] * 2),
-                             np.array([0]), lane)
+        _step(make_environment([("bernoulli", 0.5)] * 2), np.array([0]), lane)
         assert lane.counters.tolist() == [1]
-        sample_rewards_batch(make_environment([("gaussian", 0.0, 1.0)] * 2),
-                             np.array([0]), lane)
+        _step(make_environment([("gaussian", 0.0, 1.0)] * 2), np.array([0]), lane)
         assert lane.counters.tolist() == [3]  # exactly two more draws
+        reward_noise(make_environment([("gaussian", 0.0, 1.0)] * 2), lane, 4)
+        assert lane.counters.tolist() == [11]  # two per Gaussian step
 
 
 class TestDeriveRunStream:
@@ -166,7 +171,7 @@ class TestBatchSampling:
         env = make_environment([("bernoulli", 0.3), ("bernoulli", 0.7)])
         arms = np.array([0, 1, 1, 0])
         batch = StreamBatch(np.array([derive_key(6, k) for k in range(4)], dtype=np.uint64))
-        got = sample_rewards_batch(env, arms, batch)
+        got = _step(env, arms, batch)
         want = [float(RngStream(derive_key(6, k)).uniform() < env.means[a])
                 for k, a in enumerate(arms)]
         assert got.tolist() == want
@@ -175,7 +180,7 @@ class TestBatchSampling:
         env = make_environment([("gaussian", 0.0, 1.0), ("gaussian", 1.0, 0.25)])
         arms = np.array([1, 0, 1])
         batch = StreamBatch(np.array([derive_key(8, k) for k in range(3)], dtype=np.uint64))
-        got = sample_rewards_batch(env, arms, batch)
+        got = _step(env, arms, batch)
         want = []
         for k, a in enumerate(arms):
             u1, u2 = RngStream(derive_key(8, k)).uniforms(2)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from eucbv.env import make_environment, sample_rewards_batch
+from eucbv.env import make_environment, reward_noise, sample_rewards_batch
 from eucbv.policies import (
     POLICY_IDS,
     bayes_ucb_index,
@@ -205,7 +205,8 @@ class TestCachedIndices:
                 if pid == "eucbv":
                     fresh = np.where(policy.active, fresh, -np.inf)
                 assert np.array_equal(arms, np.argmax(fresh, axis=1))
-            policy.update(arms, sample_rewards_batch(env, arms, streams))
+            noise = reward_noise(env, streams, 1)[:, 0]
+            policy.update(arms, sample_rewards_batch(env, arms, noise))
         if pid == "eucbv":
             # every lane reset rounds and eliminated; some, not all, committed
             live = policy.active.sum(axis=1)

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from eucbv.env import make_environment, sample_rewards_batch
+from eucbv.env import make_environment, reward_noise, sample_rewards_batch
 from eucbv.policies import make_batch_policy
 from eucbv.policies.eucbv import EucbvPolicy, confidence_radius
 from eucbv.policies.kl import klucb_index
@@ -132,7 +132,8 @@ def test_eucbv_simulation_invariants(rnd, seed):
         assert policy.active[0].any()
         if t > k:
             assert policy.active[0, arm], "pulled an eliminated arm"
-        policy.update(arms, sample_rewards_batch(env, arms, lane))
+        noise = reward_noise(env, lane, 1)[:, 0]
+        policy.update(arms, sample_rewards_batch(env, arms, noise))
         pull_log.append(arm)
         m = int(policy.m[0])
         if m != prev_m:  # a reset enters round m: N_m = t + |B| * n_m
@@ -188,4 +189,5 @@ def test_confidence_radius_monotonicity(v_hat, pulls, log_term, rho):
 def test_bernoulli_reward_support(seed, p):
     env = make_environment([("bernoulli", p), ("bernoulli", 0.5)])
     lane = StreamBatch(np.array([derive_key(seed, 0)], dtype=np.uint64))
-    assert sample_rewards_batch(env, np.array([0]), lane)[0] in (0.0, 1.0)
+    noise = reward_noise(env, lane, 1)[:, 0]
+    assert sample_rewards_batch(env, np.array([0]), noise)[0] in (0.0, 1.0)

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats as sps
 
 import oracles
-from eucbv.env import make_environment, sample_rewards_batch
+from eucbv.env import make_environment, reward_noise
 from eucbv.rng import (
     DOMAIN_POLICY,
     DOMAIN_REWARDS,
@@ -41,7 +41,8 @@ def test_mix64_python_matches_numpy():
 def test_same_key_replays_identically():
     a = StreamBatch.for_runs(7, [3])
     b = StreamBatch.for_runs(7, [3])
-    assert [a.uniform_each()[0] for _ in range(100)] == [b.uniform_each()[0] for _ in range(100)]
+    assert ([a.uniform_block(1)[0, 0] for _ in range(100)]
+            == [b.uniform_block(1)[0, 0] for _ in range(100)])
 
 
 def test_distinct_runs_differ():
@@ -77,10 +78,13 @@ def test_uniforms_block_equals_scalar_sequence():
     assert batch.counters.tolist() == [c + 9 for c in COUNTERS]
 
 
-def test_uniform_each_matches_scalar_streams():
+def test_single_step_draws_match_scalar_streams():
+    # one uniform per lane, through a one-step block and through uniform_lanes
     batch, refs = _three_lanes()
-    for _ in range(4):
-        assert batch.uniform_each().tolist() == [ref.uniform() for ref in refs]
+    every = np.arange(len(refs))
+    for _ in range(2):
+        assert batch.uniform_block(1)[:, 0].tolist() == [ref.uniform() for ref in refs]
+        assert batch.uniform_lanes(every).tolist() == [ref.uniform() for ref in refs]
     assert batch.counters.tolist() == [c + 4 for c in COUNTERS]
 
 
@@ -92,9 +96,9 @@ def test_uniform_lanes_matches_scalar_streams():
     assert batch.counters.tolist() == [ref.counter for ref in refs]
 
 
-def test_normal_each_and_block_match_scalar_box_muller():
+def test_normal_blocks_match_scalar_box_muller():
     batch, refs = _three_lanes()
-    got = batch.normal_each()
+    got = batch.normal_block(1)[:, 0]
     want = [oracles.box_muller(ref.uniform(), ref.uniform()) for ref in refs]
     assert got.tolist() == want
     block = batch.normal_block(5)
@@ -120,15 +124,17 @@ def test_scalar_normal_consumes_two_draws_and_matches_batch():
     u1, u2 = s.uniform(), s.uniform()
     z = float(np.sqrt(-2.0 * np.log1p(-u1))) * float(np.cos(2.0 * np.pi * u2))
     batch = StreamBatch(np.array([derive_key(13, 0)], dtype=np.uint64))
-    assert z == batch.normal_each()[0]
+    assert z == batch.normal_block(1)[0, 0]
     assert int(batch.counters[0]) == 2
 
 
 def test_bernoulli_consumes_one_draw():
     env = make_environment([("bernoulli", 0.4), ("bernoulli", 0.6)])
     batch = StreamBatch(np.array([derive_key(13, 1)], dtype=np.uint64))
-    sample_rewards_batch(env, np.array([0]), batch)
+    reward_noise(env, batch, 1)
     assert int(batch.counters[0]) == 1
+    reward_noise(env, batch, 5)
+    assert int(batch.counters[0]) == 6
 
 
 def test_uniform_lanes_advances_only_selected():

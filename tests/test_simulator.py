@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eucbv.env import make_environment, sample_rewards_batch
+from eucbv.env import make_environment, reward_noise, sample_rewards_batch
 from eucbv.policies import POLICY_IDS, BatchPolicy, make_batch_policy
 from eucbv.rng import DOMAIN_POLICY, DOMAIN_REWARDS, StreamBatch
 from eucbv.simulator import (
@@ -162,10 +162,17 @@ class TestBatchEquivalence:
 class TestBlockNoise:
     """run_batch's block-drawn reward noise equals drawing it step by step."""
 
-    @pytest.mark.parametrize("horizon", [NOISE_BLOCK_STEPS - 28, NOISE_BLOCK_STEPS,
-                                         2 * NOISE_BLOCK_STEPS + 1])
+    # Blocks of 1 and 3 steps put a block boundary at every step or every
+    # third, so the step numbering inside and across blocks is pinned.
+    @pytest.mark.parametrize("block,horizon", [
+        *(pytest.param(NOISE_BLOCK_STEPS, h, id=str(h))
+          for h in (NOISE_BLOCK_STEPS - 28, NOISE_BLOCK_STEPS, 2 * NOISE_BLOCK_STEPS + 1)),
+        pytest.param(1, 41, id="block1-41"),
+        pytest.param(3, 41, id="block3-41"),
+    ])
     @pytest.mark.parametrize("env", [_expt1_env(), _gauss_env()], ids=["bern", "gauss"])
-    def test_run_batch_equals_per_step_loop(self, env, horizon):
+    def test_run_batch_equals_per_step_loop(self, env, block, horizon, monkeypatch):
+        monkeypatch.setattr("eucbv.simulator.NOISE_BLOCK_STEPS", block)
         seed, lanes = 41, range(4)
         streams = StreamBatch.for_runs(seed, lanes, DOMAIN_REWARDS)
         curves, pulls, _ = run_batch(env, _policy("ucbv", lanes, env.n_arms, horizon, seed),
@@ -175,7 +182,8 @@ class TestBlockNoise:
         regret = np.zeros(len(lanes))
         for t in range(1, horizon + 1):
             arms = policy.select(t)
-            policy.update(arms, sample_rewards_batch(env, arms, by_step))
+            noise = reward_noise(env, by_step, 1)[:, 0]
+            policy.update(arms, sample_rewards_batch(env, arms, noise))
             regret += env.gaps[arms]
             assert np.array_equal(curves[:, t - 1], regret)
         assert np.array_equal(pulls, policy.pull_counts())
