@@ -12,7 +12,8 @@ stderr_regret; rows ordered by policy id then checkpoint) and one summary CSV
 (policy,final_mean_regret,final_stderr; rows ordered by final mean regret)
 per experiment.  Output bytes are fully determined by the config and flags:
 floats use 9 significant digits, and no timestamps or host data appear.
-Every CSV is written whole or not at all (temporary file, then rename).
+Every output file, CSV or lemma report, is written whole or not at all
+(temporary file, then rename).
 
 Exit codes: 0 success, 2 usage/parse error, 3 validation error, 4 runtime
 error.
@@ -52,8 +53,9 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    """Write the CSV to a temporary file beside ``path``, then rename it into
-    place, so ``path`` is never left truncated."""
+    """Write ``header`` and one comma-joined line per row to a temporary file
+    beside ``path``, then rename it into place, so ``path`` is never left
+    truncated.  Every output file, CSV or not, is written here."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -182,8 +184,7 @@ def cmd_verify_lemmas(grid: str, tail_samples: int | None, seed: int,
         print(line)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "lemma_report.txt", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(out_dir / "lemma_report.txt", lines[0], ([line] for line in lines[1:]))
     # lemma6's sub-1/4 failures are documented findings, not errors
     return all(rep.ok for rep in reports if rep.name != "lemma6")
 

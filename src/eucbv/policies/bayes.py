@@ -10,16 +10,32 @@ Bayes-UCB   posterior quantile at level 1 - 1/(t ln T); prior "beta" uses the
             "gauss" uses the same Gaussian posterior as TS-Gauss.
 
 TS policies consume their own random stream; Bayes-UCB is deterministic.
+
+Bayes-UCB's quantiles come from ``scipy.special`` (``betaincinv``, ``ndtri``),
+the package's only scipy use.  It is imported on first use, by
+``BayesUcbPolicy.__init__`` or ``bayes_ucb_index``, so a roster without
+Bayes-UCB never loads it.  Config validation builds every roster policy
+before a run, so a run that has Bayes-UCB imports scipy in the parent
+process and its worker processes inherit the module.  Handed straight to
+``run_many(threads > 1)``, a Bayes-UCB policy imports it once per worker.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import betaincinv, ndtri
 
 from .base import BatchPolicy
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported on the first call."""
+    import scipy.special
+
+    return scipy.special
 
 
 def bayes_ucb_index(reward_sum, pulls, t, horizon, prior="beta"):
@@ -27,11 +43,12 @@ def bayes_ucb_index(reward_sum, pulls, t, horizon, prior="beta"):
 
     For prior "beta" ``reward_sum`` is the clamped-reward (success) count.
     """
+    special = _special()
     level = 1.0 - 1.0 / (t * math.log(horizon))
     if prior == "beta":
-        return betaincinv(reward_sum + 1.0, pulls - reward_sum + 1.0, level)
+        return special.betaincinv(reward_sum + 1.0, pulls - reward_sum + 1.0, level)
     precision = 1.0 + pulls
-    return reward_sum / precision + ndtri(level) / np.sqrt(precision)
+    return reward_sum / precision + special.ndtri(level) / np.sqrt(precision)
 
 
 class TsBetaPolicy(BatchPolicy):
@@ -81,6 +98,7 @@ class BayesUcbPolicy(BatchPolicy):
         super().__init__(n_runs, n_arms, horizon, rng)
         if prior not in ("beta", "gauss"):
             raise ValueError(f"bayes-ucb prior must be 'beta' or 'gauss', got {prior!r}")
+        _special()  # import while the policy is built, not at its first step
         self.prior = prior
         if prior == "beta":
             self.successes = np.zeros((n_runs, n_arms), dtype=np.float64)

@@ -14,6 +14,7 @@ draw.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpf
@@ -33,9 +34,15 @@ def clamped_log(x) -> mpf:
 
 
 def round_quota(psi, horizon, epsilon) -> int:
-    """ceil(clamped_log(psi*T*eps^2) / (2 eps)) in extended precision."""
-    arg = mpf(psi) * horizon * mpf(epsilon) ** 2
-    return int(mp.ceil(clamped_log(arg) / (2 * mpf(epsilon))))
+    """ceil(clamped_log(psi*T*eps^2) / (2 eps)) in extended precision.
+
+    psi*T*eps^2 is formed as an exact rational and clamped against 1 before
+    any rounding, so a ``Fraction`` psi such as T/K^2 is taken at its real
+    value (a float psi is taken at its exact binary value).
+    """
+    arg = Fraction(psi) * horizon * Fraction(epsilon) ** 2
+    log_arg = mp.log(mpf(arg.numerator) / arg.denominator) if arg > 1 else mpf(0)
+    return int(mp.ceil(log_arg / (2 * mpf(epsilon))))
 
 
 def round_cap(horizon) -> int:

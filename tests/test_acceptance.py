@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -196,7 +197,9 @@ def test_criterion_5_invariant_suite():
             m = int(policy.m[0])
             if m != prev_m:  # one round at a time: N_m = t + |B| * n_m
                 assert m == prev_m + 1
-                assert policy.deadline[0] == t + policy.active[0].sum() * policy._quotas[m]
+                psi = Fraction(horizon, env.n_arms ** 2)
+                quota = oracles.round_quota(psi, horizon, 2.0 ** -m)
+                assert policy.deadline[0] == t + policy.active[0].sum() * quota
                 prev_m = m
             assert m <= policy.max_rounds + 1
             assert policy.active[0].any()                    # never empty

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from eucbv.cli import _write_csv, cmd_run, main
+from eucbv.cli import _write_csv, cmd_run, cmd_verify_lemmas, main
 from eucbv.config import (
     ConfigParseError,
     ConfigValidationError,
@@ -195,7 +195,7 @@ class TestCmdRun:
         finals = [float(line.split(",")[1]) for line in summary[1:]]
         assert finals == sorted(finals)
 
-    def test_csv_write_is_atomic(self, tmp_path):
+    def test_csv_write_is_atomic(self, tmp_path, monkeypatch):
         def rows(fail):
             yield ("a", "1")
             if fail:
@@ -213,6 +213,26 @@ class TestCmdRun:
         assert target.read_text() == "x,y\na,1\n"
         assert list(tmp_path.iterdir()) == [target]
 
+        # the lemma report, interrupted before it is in place
+        def interrupted(src, dst):
+            raise RuntimeError("interrupted")
+
+        out = tmp_path / "lemmas"
+        report = out / "lemma_report.txt"
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", interrupted)
+            with pytest.raises(RuntimeError):
+                cmd_verify_lemmas("small", None, 0, out)
+        assert list(out.iterdir()) == []
+        cmd_verify_lemmas("small", None, 0, out)
+        complete = report.read_text()
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", interrupted)
+            with pytest.raises(RuntimeError):
+                cmd_verify_lemmas("small", None, 0, out)
+        assert report.read_text() == complete
+        assert list(out.iterdir()) == [report]
+
     def test_oracle_policy_zero_rows(self, tmp_path):
         # a two-arm environment where both arms are optimal: regret is 0
         spec = load_config(_write(tmp_path, MINIMAL.replace("0.2*2, 0.8", "0.5, 0.5")))
@@ -223,13 +243,15 @@ class TestCmdRun:
 
 class TestCli:
     def test_run_and_thread_equivalence(self, tmp_path):
-        args = ["run", "--preset", "expt1", "--runs", "4", "--horizon", "300",
-                "--checkpoints", "5"]
-        assert main(args + ["--out", str(tmp_path / "t1"), "--threads", "1"]) == 0
-        assert main(args + ["--out", str(tmp_path / "t2"), "--threads", "2"]) == 0
-        for name in ("expt1_curves.csv", "expt1_summary.csv"):
-            assert (tmp_path / "t1" / name).read_bytes() == \
-                (tmp_path / "t2" / name).read_bytes()
+        # expt3 sends Bayes-UCB and TS-Gauss chunks through the worker pool
+        for preset in ("expt1", "expt3"):
+            args = ["run", "--preset", preset, "--runs", "4", "--horizon", "300",
+                    "--checkpoints", "5"]
+            assert main(args + ["--out", str(tmp_path / "t1"), "--threads", "1"]) == 0
+            assert main(args + ["--out", str(tmp_path / "t2"), "--threads", "2"]) == 0
+            for name in (f"{preset}_curves.csv", f"{preset}_summary.csv"):
+                assert (tmp_path / "t1" / name).read_bytes() == \
+                    (tmp_path / "t2" / name).read_bytes()
 
     def test_validation_exit_code(self, tmp_path, capsys):
         assert main(["run", "--preset", "expt1", "--runs", "0",
@@ -347,3 +369,56 @@ preset = expt3
         )
         assert proc.returncode == 0
         assert "gap_dependent" in proc.stdout
+
+
+def _fresh(code: str) -> None:
+    """Run ``code`` in a new interpreter that imports the package under test;
+    its asserts must hold."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestScipyImport:
+    """scipy.special is loaded only where Bayes-UCB is built or scored."""
+
+    def test_rosters_without_bayes_ucb_never_load_scipy(self, tmp_path):
+        _fresh(f"""
+import sys
+from eucbv.cli import main
+assert "scipy.special" not in sys.modules
+assert main(["run", "--preset", "expt1", "--runs", "2", "--horizon", "60",
+             "--checkpoints", "3", "--out", {str(tmp_path / "run")!r}]) == 0
+assert "scipy.special" not in sys.modules
+assert main(["bounds", "--K", "4", "--T", "1000", "--delta", "0.2"]) == 0
+assert main(["bounds", "--preset", "expt1"]) == 0
+assert main(["verify-lemmas", "--grid", "small"]) == 0
+assert "scipy.special" not in sys.modules
+""")
+
+    def test_bayes_ucb_roster_loads_scipy_before_any_pool(self):
+        _fresh("""
+import sys
+import eucbv.simulator
+from eucbv.config import preset_spec
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a pool was created")
+
+eucbv.simulator.ProcessPoolExecutor = no_pool
+spec = preset_spec("expt3", runs=2, horizon=200)
+assert "bayes-ucb" in dict(spec.policies)
+assert "scipy.special" in sys.modules
+""")
+
+    def test_index_loads_scipy_without_a_policy(self):
+        _fresh("""
+import math
+import sys
+from eucbv.policies import bayes_ucb_index
+assert "scipy.special" not in sys.modules
+got = float(bayes_ucb_index(3.0, 5.0, 10, 100))
+from scipy import stats
+level = 1.0 - 1.0 / (10 * math.log(100))
+assert math.isclose(got, stats.beta(4.0, 3.0).ppf(level), rel_tol=1e-9), got
+""")

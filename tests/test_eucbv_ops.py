@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,8 +49,12 @@ class TestInit:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             policy = _policy(2, 16, psi=4.0)
+            on_clamp = _policy(5, 10)  # psi = T/K^2 = 0.4
         assert policy._quotas[0] == 3 == oracles.round_quota(4, 16, 1.0)
         assert policy.deadline[0] == 6
+        # psi*T*eps_1^2 = 0.4*10/4 is exactly 1, so its log clamps: n_1 = 0
+        assert on_clamp._quotas.tolist() == [1, 0] == [
+            oracles.round_quota(Fraction(10, 25), 10, 2.0 ** -m) for m in range(2)]
 
     def test_epsilon_starts_at_one(self):
         policy = _policy(5, 1000)  # psi*T = 40 * 1000 at eps_0 = 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -138,7 +139,8 @@ def test_eucbv_simulation_invariants(rnd, seed):
         m = int(policy.m[0])
         if m != prev_m:  # a reset enters round m: N_m = t + |B| * n_m
             assert m == prev_m + 1
-            assert policy.deadline[0] == t + policy.active[0].sum() * policy._quotas[m]
+            quota = oracles.round_quota(Fraction(horizon, k * k), horizon, 2.0 ** -m)
+            assert policy.deadline[0] == t + policy.active[0].sum() * quota
             prev_m = m
         assert m <= policy.max_rounds + 1
         regret += gaps[arm]
