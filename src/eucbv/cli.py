@@ -37,8 +37,9 @@ from .config import (
     ExperimentSpec,
     load_config,
     preset_spec,
+    preset_testbed,
 )
-from .env import ArmModel
+from .env import ArmModel, make_environment
 from .rng import StreamBatch
 from .simulator import run_many
 
@@ -111,10 +112,10 @@ def cmd_bounds(n_arms: int, horizon: int, delta: float | None, preset: str | Non
                sigma_sq: float | None, out_dir: Path | None) -> list:
     """Evaluate the comparison table and the gap-dependent bound; write CSVs."""
     if preset is not None:
-        spec = preset_spec(preset)
-        env = spec.environment()
-        inputs = bounds_mod.BoundInputs.from_environment(env, spec.horizon)
-        n_arms, horizon = env.n_arms, spec.horizon
+        arms, horizon = preset_testbed(preset)
+        env = make_environment(arms)
+        inputs = bounds_mod.BoundInputs.from_environment(env, horizon)
+        n_arms = env.n_arms
     else:
         if horizon < 1:
             raise ConfigValidationError("--T must be >= 1")

@@ -38,8 +38,6 @@ from .simulator import DEFAULT_CHECKPOINTS
 DEFAULT_MASTER_SEED = 123456789
 DEFAULT_ENV_SEED = 987654321
 
-PRESET_NAMES = ("expt1", "expt2", "expt3", "expt4")
-
 
 class ConfigError(Exception):
     """Base for configuration problems."""
@@ -82,87 +80,95 @@ def _env_uniforms(env_seed: int, n: int, lo: float, hi: float) -> list:
     return [lo + (hi - lo) * u for u in rng.uniform_block(n)[0].tolist()]
 
 
-def preset_spec(name: str, *, runs: int | None = None, horizon: int | None = None,
-                master_seed: int | None = None, env_seed: int | None = None,
-                checkpoints: int | None = None) -> ExperimentSpec:
-    """Build one of the compiled-in presets, with optional overrides."""
+def _expt1_arms(env_seed: int) -> list:
+    return _group(BERNOULLI, [0.07] * 19 + [0.1])
+
+
+def _expt2_arms(env_seed: int) -> list:
+    means = [0.07] * 66 + [0.01] * 33 + [0.09]
+    variances = [0.01] * 66 + [0.25] * 33 + [0.25]
+    return _group(GAUSSIAN, means, variances)
+
+
+def _expt3_arms(env_seed: int) -> list:
+    means = [0.045] * 10 + [0.04] * 89 + [0.05]
+    variances = [0.01] * 10 + _env_uniforms(env_seed, 89, 0.2, 0.24) + [0.25]
+    return _group(GAUSSIAN, means, variances)
+
+
+def _expt4_arms(env_seed: int) -> list:
+    draws = _env_uniforms(env_seed, 99, 0.0, 1.0)
+    variances = (
+        [0.05 * u for u in draws[:49]]
+        + [0.19 + 0.05 * u for u in draws[49:]]
+        + [0.25]
+    )
+    return _group(GAUSSIAN, [0.09] * 99 + [0.1], variances)
+
+
+_GAUSS_ROSTER = (
+    ("eucbv", {}),
+    ("ucbv", {}),
+    ("moss", {}),
+    ("ocucb", {}),
+    ("ts-gauss", {}),
+    ("bayes-ucb", {"prior": "gauss"}),
+)
+
+# Preset name -> (arms from env_seed, paper horizon, roster in run order).
+_PRESETS = {
+    "expt1": (_expt1_arms, 60000, (
+        ("eucbv", {}),
+        ("ucb1", {}),
+        ("ucbv", {}),
+        ("moss", {}),
+        ("ocucb", {}),
+        ("klucb-plus", {}),
+        ("ts-beta", {}),
+        ("dmed", {}),
+    )),
+    "expt2": (_expt2_arms, 300000, (
+        ("eucbv", {}),
+        ("ucb1", {}),
+        ("ucbv", {}),
+        ("moss", {}),
+        ("ocucb", {}),
+        ("ucb-improved", {}),
+        ("ts-gauss", {}),
+        ("bayes-ucb", {"prior": "gauss"}),
+        ("median-elim", {"epsilon": 0.1, "delta": 0.1}),
+    )),
+    "expt3": (_expt3_arms, 400000, _GAUSS_ROSTER),
+    "expt4": (_expt4_arms, 400000, _GAUSS_ROSTER),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
+def preset_testbed(name: str, env_seed: int | None = None) -> tuple:
+    """A preset's (arms, paper horizon); builds no policy of its roster."""
     if name not in PRESET_NAMES:
         raise ConfigValidationError(
             f"unknown preset {name!r} (known: {', '.join(PRESET_NAMES)})"
         )
-    master_seed = DEFAULT_MASTER_SEED if master_seed is None else master_seed
-    env_seed = DEFAULT_ENV_SEED if env_seed is None else env_seed
-    checkpoints = DEFAULT_CHECKPOINTS if checkpoints is None else checkpoints
+    arms, horizon, _ = _PRESETS[name]
+    return tuple(arms(DEFAULT_ENV_SEED if env_seed is None else env_seed)), horizon
 
-    if name == "expt1":
-        arms = _group(BERNOULLI, [0.07] * 19 + [0.1])
-        t = 60000
-        roster = (
-            ("eucbv", {}),
-            ("ucb1", {}),
-            ("ucbv", {}),
-            ("moss", {}),
-            ("ocucb", {}),
-            ("klucb-plus", {}),
-            ("ts-beta", {}),
-            ("dmed", {}),
-        )
-    elif name == "expt2":
-        means = [0.07] * 66 + [0.01] * 33 + [0.09]
-        variances = [0.01] * 66 + [0.25] * 33 + [0.25]
-        arms = _group(GAUSSIAN, means, variances)
-        t = 300000
-        roster = (
-            ("eucbv", {}),
-            ("ucb1", {}),
-            ("ucbv", {}),
-            ("moss", {}),
-            ("ocucb", {}),
-            ("ucb-improved", {}),
-            ("ts-gauss", {}),
-            ("bayes-ucb", {"prior": "gauss"}),
-            ("median-elim", {"epsilon": 0.1, "delta": 0.1}),
-        )
-    elif name == "expt3":
-        means = [0.045] * 10 + [0.04] * 89 + [0.05]
-        variances = [0.01] * 10 + _env_uniforms(env_seed, 89, 0.2, 0.24) + [0.25]
-        arms = _group(GAUSSIAN, means, variances)
-        t = 400000
-        roster = (
-            ("eucbv", {}),
-            ("ucbv", {}),
-            ("moss", {}),
-            ("ocucb", {}),
-            ("ts-gauss", {}),
-            ("bayes-ucb", {"prior": "gauss"}),
-        )
-    else:  # expt4
-        draws = _env_uniforms(env_seed, 99, 0.0, 1.0)
-        variances = (
-            [0.05 * u for u in draws[:49]]
-            + [0.19 + 0.05 * u for u in draws[49:]]
-            + [0.25]
-        )
-        arms = _group(GAUSSIAN, [0.09] * 99 + [0.1], variances)
-        t = 400000
-        roster = (
-            ("eucbv", {}),
-            ("ucbv", {}),
-            ("moss", {}),
-            ("ocucb", {}),
-            ("ts-gauss", {}),
-            ("bayes-ucb", {"prior": "gauss"}),
-        )
 
+def preset_spec(name: str, *, runs: int | None = None, horizon: int | None = None,
+                master_seed: int | None = None, env_seed: int | None = None,
+                checkpoints: int | None = None) -> ExperimentSpec:
+    """Build and validate one of the compiled-in presets, with optional
+    overrides."""
+    arms, paper_horizon = preset_testbed(name, env_seed)
     spec = ExperimentSpec(
         name=name,
-        arms=tuple(arms),
-        horizon=t if horizon is None else horizon,
+        arms=arms,
+        horizon=paper_horizon if horizon is None else horizon,
         runs=100 if runs is None else runs,
-        master_seed=master_seed,
-        env_seed=env_seed,
-        policies=roster,
-        checkpoints=checkpoints,
+        master_seed=DEFAULT_MASTER_SEED if master_seed is None else master_seed,
+        env_seed=DEFAULT_ENV_SEED if env_seed is None else env_seed,
+        policies=tuple((pid, dict(params)) for pid, params in _PRESETS[name][2]),
+        checkpoints=DEFAULT_CHECKPOINTS if checkpoints is None else checkpoints,
     )
     _validate_spec(spec)
     return spec

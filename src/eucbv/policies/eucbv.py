@@ -24,6 +24,14 @@ Ties in argmax/max resolve to the lowest arm index.
 
 Round values (eps_m = 2**-m, n_m, the radius log) are tables over m = 0..M+1;
 a lane keeps its round m, deadline N_m and active set.  One run is n_runs=1.
+
+Each (lane, arm) cell's upper and lower bound, mean +- radius, is cached
+and kept current: an update refreshes the cells it pulled, and a round reset
+refreshes its lanes' whole rows, since their radius log changed.  Selection
+is one masked argmax over the cached upper bounds, elimination one masked
+max over the lower bounds and one compare.  The refreshed cells evaluate the
+same elementwise expressions as a full (R, K) recompute, so the cache is
+exact by construction.
 """
 
 from __future__ import annotations
@@ -97,62 +105,55 @@ class EucbvPolicy(BatchPolicy):
         self._log_conf = _clamped_log(psi * horizon * eps ** radius_eps_power)
         self.m = np.zeros(n_runs, dtype=np.int64)     # (R,) round index
         self.deadline = np.full(n_runs, n_arms * self._quotas[0])  # (R,) N_m
-        # The last step's post-update UCBs (means + radius) from _eliminate,
-        # valid while no update or round reset has happened since: _ucb_t
-        # is the update count they were computed at, -1 for none.
-        self._ucb = None
-        self._ucb_t = -1
+        # Per-cell bounds under the current statistics and rounds; cells
+        # never pulled read nan, as sums/counts would.
+        self._ucb = np.full((n_runs, n_arms), np.nan)
+        self._lcb = np.full((n_runs, n_arms), np.nan)
 
-    def _radius(self) -> np.ndarray:
-        """Confidence radius of every (lane, arm) cell under its lane's round."""
-        log_conf = self._log_conf[self.m][:, None]
-        return confidence_radius(self.stats.variances(), self.stats.counts, log_conf, self.rho)
+    def _refresh(self, cells: np.ndarray, log_conf: np.ndarray) -> None:
+        """Recompute the bounds of the flat cells ``cells`` under the radius
+        logs ``log_conf`` (broadcast against ``cells``)."""
+        pulls, means, variances = self.stats.cell_estimates(cells)
+        radius = confidence_radius(variances, pulls, log_conf, self.rho)
+        np.put(self._ucb, cells, means + radius)
+        np.put(self._lcb, cells, means - radius)
 
     def _select(self, t: int) -> np.ndarray:
-        """Per-lane arm maximizing mean + radius over the active set.
-
-        Ties resolve to the lowest index; when every lane's active set is a
-        singleton the indices are not computed.  The UCBs the last update's
-        elimination computed are reused when nothing has changed since.
-        """
-        if self.active.sum(axis=1).max() == 1:
-            return np.argmax(self.active, axis=1)
-        if self._ucb_t == self._t:
-            ucb = self._ucb
-        else:
-            ucb = self.stats.means() + self._radius()
-        return np.argmax(np.where(self.active, ucb, _NEG_INF), axis=1)
+        """Per-lane active arm with the highest upper bound (lowest index on
+        ties); a committed lane's lone active arm."""
+        return np.argmax(np.where(self.active, self._ucb, _NEG_INF), axis=1)
 
     def _after_update(self, t: int, arms: np.ndarray, rewards: np.ndarray) -> None:
+        self._refresh(self.stats.cells(arms), self._log_conf[self.m])
         if t <= self.n_arms:
             return  # initialization phase: no elimination, no round resets
         # A lane already committed before this step only pulls; a lane that
         # becomes a singleton during this step still runs this step's checks.
         lanes = self.active.sum(axis=1) > 1
         if lanes.any():
-            self._ucb, self._ucb_t = self._eliminate(lanes), t
+            self._eliminate()
             self._advance_round(t, lanes)
 
-    def _eliminate(self, lanes: np.ndarray) -> np.ndarray:
-        """In ``lanes``, remove active arms whose UCB falls strictly below the
-        best active LCB; returns every cell's UCB.
+    def _eliminate(self) -> None:
+        """Remove active arms whose UCB falls strictly below their lane's
+        best active LCB.
 
         The max runs over all active arms including the candidate itself, so
         the arm attaining the best LCB always survives (its UCB >= its LCB).
+        A committed lane's lone arm is that arm, so committed lanes need no
+        mask: the step leaves them as they are.
         """
-        means = self.stats.means()
-        conf = self._radius()
-        ucb = means + conf
-        lcb_best = np.where(self.active, means - conf, _NEG_INF).max(axis=1)
-        self.active &= ~(lanes[:, None] & (ucb < lcb_best[:, None]))
-        return ucb
+        lcb_best = np.where(self.active, self._lcb, _NEG_INF).max(axis=1)
+        self.active &= ~(self._ucb < lcb_best[:, None])
 
     def _advance_round(self, t: int, lanes: np.ndarray) -> None:
         """Round reset for the lanes in ``lanes`` with t >= N_m and m <= M:
-        increment m and set N_{m+1} = t + |B| * n_{m+1}."""
+        increment m, set N_{m+1} = t + |B| * n_{m+1}, refresh their bounds."""
         adv = lanes & (t >= self.deadline) & (self.m <= self.max_rounds)
         if not adv.any():
             return
-        self._ucb_t = -1  # the reset lanes' radii change
-        self.m[adv] += 1
-        self.deadline[adv] = t + self.active[adv].sum(axis=1) * self._quotas[self.m[adv]]
+        rows = np.nonzero(adv)[0]
+        self.m[rows] += 1
+        self.deadline[rows] = t + self.active[rows].sum(axis=1) * self._quotas[self.m[rows]]
+        cells = rows[:, None] * self.n_arms + np.arange(self.n_arms)
+        self._refresh(cells, self._log_conf[self.m[rows]][:, None])

@@ -72,8 +72,7 @@ class _CellIndexPolicy(BatchPolicy):
 
     def _after_update(self, t, arms, rewards):
         cells = self.stats.cells(arms)
-        pulls = np.take(self.stats.counts, cells)
-        mean = np.take(self.stats.sums, cells) / pulls
+        pulls, mean = self.stats.cell_means(cells)
         np.put(self._index, cells, self._cell_index(mean, pulls))
 
     def _select(self, t):

@@ -10,6 +10,8 @@ found by bisection to within 1e-9.  Means are clamped into
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .base import BatchPolicy
@@ -28,8 +30,10 @@ def kl_bernoulli(p, q):
 def klucb_index(mean, pulls, t, tol: float = KLUCB_TOL):
     """KL-UCB+ upper confidence index, scalar or vectorized over arms/lanes.
 
-    Bisection on [mean, 1]; the iteration count is fixed from the bracket
-    width so every element converges below ``tol``.
+    Bisection on [mean, 1].  The bracket is never wider than 1, so every
+    cell takes the same ceil(log2(1/tol)) halvings (30 at the default tol),
+    a count that reads no data: a cell's index never depends on the other
+    cells of the array it is computed in.
     """
     scalar = np.ndim(mean) == 0 and np.ndim(pulls) == 0
     mean = np.clip(np.atleast_1d(np.asarray(mean, dtype=np.float64)), _EPS, 1.0 - _EPS)
@@ -37,15 +41,14 @@ def klucb_index(mean, pulls, t, tol: float = KLUCB_TOL):
     rhs = np.maximum(np.log(t / pulls), 0.0) / pulls
     lo = mean.copy()
     # Pinsker: kl(p, q) >= 2(p-q)^2, so the root is at most p + sqrt(rhs/2);
-    # starting the bracket there cuts iterations and pins the zero-allowance
-    # case (rhs = 0) at the mean exactly.
+    # starting the bracket there narrows it and pins the zero-allowance case
+    # (rhs = 0) at the mean exactly.
     width = np.minimum(mean + np.sqrt(0.5 * rhs), 1.0)
     width -= lo
     # kl(p, q) <= rhs  <=>  p ln q + (1-p) ln(1-q) >= entropy_term - rhs
     target = mean * np.log(mean) + (1.0 - mean) * np.log1p(-mean) - rhs
     comp = 1.0 - mean
-    max_width = float(width.max(initial=0.0))
-    iters = int(np.ceil(np.log2(max_width / tol))) if max_width > tol else 0
+    iters = math.ceil(math.log2(1.0 / tol))
     mid = np.empty_like(mean)
     w1 = np.empty_like(mean)
     w2 = np.empty_like(mean)

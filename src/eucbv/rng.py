@@ -43,6 +43,10 @@ _NP_27 = np.uint64(27)
 _NP_31 = np.uint64(31)
 _NP_11 = np.uint64(11)
 
+# Uniforms generated and transformed per row tile in ``normal_block``: the
+# uint64 and float temporaries stay this size whatever the lane count.
+TILE_UNIFORMS = 16384
+
 
 def mix64(z: int) -> int:
     """splitmix64 output finalizer on a Python integer (mod 2**64)."""
@@ -53,10 +57,14 @@ def mix64(z: int) -> int:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 on uint64 arrays; bit-identical to :func:`mix64`."""
-    z = (z ^ (z >> _NP_30)) * _NP_MIX_A
-    z = (z ^ (z >> _NP_27)) * _NP_MIX_B
-    return z ^ (z >> _NP_31)
+    """Vectorized mix64 on a uint64 array, in place (returns ``z``);
+    bit-identical to :func:`mix64`."""
+    z ^= z >> _NP_30
+    z *= _NP_MIX_A
+    z ^= z >> _NP_27
+    z *= _NP_MIX_B
+    z ^= z >> _NP_31
+    return z
 
 
 def derive_key(master_seed: int, run_index: int, domain: int = DOMAIN_REWARDS) -> int:
@@ -72,14 +80,18 @@ def derive_key(master_seed: int, run_index: int, domain: int = DOMAIN_REWARDS) -
 
 def _uniforms(keys: np.ndarray, js: np.ndarray) -> np.ndarray:
     """Uniforms in [0, 1) for draw numbers ``js`` of the streams ``keys``
-    (uint64 arrays, broadcast against each other): the top 53 bits of
-    ``mix64(key + j * GOLDEN)``."""
-    return (_mix64_np(keys + js * _NP_GOLDEN) >> _NP_11) * _INV_2_53
+    (uint64 arrays; ``keys`` broadcasts to the shape of ``js``): the top 53
+    bits of ``mix64(key + j * GOLDEN)``."""
+    z = js * _NP_GOLDEN
+    z += keys
+    z = _mix64_np(z)
+    z >>= _NP_11
+    return z * _INV_2_53
 
 
-def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+def _box_muller(u1: np.ndarray, u2: np.ndarray, out=None) -> np.ndarray:
     """Standard normals from pairs of uniforms in [0, 1)."""
-    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(_TWO_PI * u2)
+    return np.multiply(np.sqrt(-2.0 * np.log1p(-u1)), np.cos(_TWO_PI * u2), out=out)
 
 
 class StreamBatch:
@@ -114,9 +126,21 @@ class StreamBatch:
         return self._uniform_block_rows(slice(None), n)
 
     def normal_block(self, n: int) -> np.ndarray:
-        """``n`` standard normals per lane; shape (R, n); 2n uniforms per lane."""
-        u = self.uniform_block(2 * n)
-        return _box_muller(u[:, 0::2], u[:, 1::2])
+        """``n`` standard normals per lane; shape (R, n); 2n uniforms per lane.
+
+        Lanes are drawn in row tiles of about TILE_UNIFORMS uniforms each.
+        A lane's values depend only on its own (key, j), so the tiling
+        changes no value, only the size of the temporaries.
+        """
+        n_runs = len(self)
+        out = np.empty((n_runs, n))
+        tiles = max(1, -(-2 * n * n_runs // TILE_UNIFORMS))
+        rows_per_tile = max(1, -(-n_runs // tiles))
+        for lo in range(0, n_runs, rows_per_tile):
+            rows = slice(lo, lo + rows_per_tile)
+            u = self._uniform_block_rows(rows, 2 * n)
+            _box_muller(u[:, 0::2], u[:, 1::2], out=out[rows])
+        return out
 
     def _uniform_block_rows(self, rows, n: int) -> np.ndarray:
         """``n`` uniforms for each lane in ``rows`` (an index array or slice)

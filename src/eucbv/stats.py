@@ -15,6 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 
+def _variance(sq_sums, counts, means):
+    """Biased variance max(sq/z - m*m, 0) from the square sums and means."""
+    return np.maximum(sq_sums / counts - means * means, 0.0)
+
+
 class PullStats:
     """Per-(run, arm) pull counts and reward sums for a batch of runs.
 
@@ -52,9 +57,19 @@ class PullStats:
 
     def variances(self) -> np.ndarray:
         """Per-cell biased variances, clamped at 0; caller guarantees counts >= 1."""
-        m = self.sums / self.counts
-        v = self.sq_sums / self.counts - m * m
-        return np.maximum(v, 0.0)
+        return _variance(self.sq_sums, self.counts, self.sums / self.counts)
+
+    def cell_means(self, cells: np.ndarray):
+        """(counts, means) of the flat cells ``cells`` (an index array of any
+        shape), equal to those cells of ``counts`` and ``means()``."""
+        counts = np.take(self._flat[0], cells)
+        return counts, np.take(self._flat[1], cells) / counts
+
+    def cell_estimates(self, cells: np.ndarray):
+        """(counts, means, variances) of the flat cells ``cells``, equal to
+        those cells of ``counts``, ``means()`` and ``variances()``."""
+        counts, means = self.cell_means(cells)
+        return counts, means, _variance(np.take(self._flat[2], cells), counts, means)
 
     def pull_counts(self) -> np.ndarray:
         return self.counts.astype(np.int64)

@@ -396,6 +396,21 @@ assert main(["verify-lemmas", "--grid", "small"]) == 0
 assert "scipy.special" not in sys.modules
 """)
 
+    def test_bounds_preset_builds_no_policy(self):
+        # expt3's roster has Bayes-UCB, but its bounds need only arms and T
+        _fresh("""
+import sys
+import eucbv.config
+from eucbv.cli import main
+
+def no_policy(*args, **kwargs):
+    raise AssertionError("a policy was built")
+
+eucbv.config.make_batch_policy = no_policy
+assert main(["bounds", "--preset", "expt3"]) == 0
+assert "scipy.special" not in sys.modules
+""")
+
     def test_bayes_ucb_roster_loads_scipy_before_any_pool(self):
         _fresh("""
 import sys

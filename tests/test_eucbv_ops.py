@@ -21,10 +21,19 @@ def _policy(n_arms, horizon, **kw):
 
 
 def _set_arm(policy, arm, pulls, mean, v_hat, lane=0):
-    """Inject sufficient statistics realizing (pulls, mean, v_hat)."""
+    """Inject sufficient statistics realizing (pulls, mean, v_hat), and
+    refresh the cell's cached bounds as an update pulling it would."""
     policy.stats.counts[lane, arm] = pulls
     policy.stats.sums[lane, arm] = pulls * mean
     policy.stats.sq_sums[lane, arm] = pulls * (v_hat + mean * mean)
+    policy._refresh(np.array([lane * policy.n_arms + arm]), policy._log_conf[policy.m[lane]])
+
+
+def _set_all(policy, pulls=9, mean=0.5, v_hat=0.1):
+    """The same statistics in every cell, so every cached bound is finite."""
+    for lane in range(policy.n_runs):
+        for arm in range(policy.n_arms):
+            _set_arm(policy, arm, pulls, mean, v_hat, lane)
 
 
 def _select(policy):
@@ -149,14 +158,14 @@ class TestEliminate:
         _set_arm(policy, 0, 5, 0.9, 0.0)
         _set_arm(policy, 1, 5, 0.1, 0.0)
         policy.active[0, 1] = False
-        policy._eliminate(LANE)
+        policy._eliminate()
         assert policy.active[0].tolist() == [True, False]
 
     def test_identical_arms_survive(self):
         policy = _policy(2, 100)
         for arm in range(2):
             _set_arm(policy, arm, 5, 0.4, 0.1)
-        policy._eliminate(LANE)
+        policy._eliminate()
         assert policy.active.all()
 
     def test_separated_intervals_eliminate(self):
@@ -167,7 +176,7 @@ class TestEliminate:
             policy = _policy(2, 3, psi=math.exp(0.04) / 3.0)
         _set_arm(policy, 0, 4, 0.9, 0.0)
         _set_arm(policy, 1, 4, 0.1, 0.0)
-        policy._eliminate(LANE)
+        policy._eliminate()
         assert policy.active[0].tolist() == [True, False]
 
     def test_best_lcb_arm_never_removed(self):
@@ -177,13 +186,14 @@ class TestEliminate:
             for arm in range(4):
                 _set_arm(policy, arm, int(rng.integers(1, 50)),
                          float(rng.random()), float(rng.random() * 0.25))
-            policy._eliminate(LANE)
+            policy._eliminate()
             assert policy.active[0].any()
 
 
 class TestAdvanceRound:
     def test_first_reset_halves_epsilon(self):
         policy = _policy(20, 60000)
+        _set_all(policy)
         policy._advance_round(180, LANE)
         assert policy.m[0] == 1
         assert policy._quotas[1] == 15 == oracles.round_quota(150, 60000, 0.5)
@@ -204,6 +214,7 @@ class TestAdvanceRound:
 
     def test_deadline_uses_current_timestep(self):
         policy = _policy(20, 60000)
+        _set_all(policy)
         policy._advance_round(205, LANE)  # late arrival past N_0 = 180
         assert policy.deadline[0] == 205 + 20 * 15
 
@@ -211,7 +222,12 @@ class TestAdvanceRound:
         s1 = _policy(20, 60000, radius_eps_power=1)
         s2 = _policy(20, 60000, radius_eps_power=2)
         for s in (s1, s2):
+            _set_all(s)
             s._advance_round(180, LANE)
+            # the reset refreshed the lane's cached bounds under the new log
+            radius = confidence_radius(0.1, 9.0, s._log_conf[1], s.rho)
+            assert s._ucb[0].tolist() == [0.5 + radius] * 20
+            assert s._lcb[0].tolist() == [0.5 - radius] * 20
         assert s1._log_conf[s1.m[0]] == pytest.approx(math.log(150 * 60000 * 0.5))
         assert s2._log_conf[s2.m[0]] == pytest.approx(math.log(150 * 60000 * 0.25))
         for power, s in ((1, s1), (2, s2)):  # every round m = 0..M+1
@@ -226,7 +242,7 @@ class TestAdvanceRound:
             for arm in range(20):
                 _set_arm(policy, arm, 9, 0.5, 0.1, lane)
         policy.active[0, 1:] = False
-        policy._after_update(180, None, None)
+        policy._after_update(180, np.zeros(2, dtype=np.int64), None)
         assert policy.m.tolist() == [0, 1]
         assert policy.deadline.tolist() == [180, 180 + 20 * 15]
         assert policy.survivors().tolist() == [0, -1]

@@ -101,6 +101,13 @@ class TestKlUcb:
             rhs = max(math.log(t / pulls), 0.0) / pulls
             assert mean - 1e-12 <= idx <= min(1.0, mean + math.sqrt(rhs / 2.0) + 1e-9)
 
+    def test_index_does_not_read_batch_mates(self):
+        # A wide bracket (mean 0.05, z = 1) next to a narrow one once set
+        # the bisection count for both.
+        alone = float(klucb_index(0.3, 2000, 60000))
+        batched = klucb_index(np.array([[0.3, 0.05]]), np.array([[2000.0, 1.0]]), 60000)
+        assert batched[0, 0] == alone
+
     def test_exhausted_budget_collapses_to_mean(self):
         # z == t makes the exploration allowance ln(t/z) = 0.
         assert float(klucb_index(0.4, 50, 50)) == pytest.approx(0.4, abs=2e-9)
@@ -167,28 +174,31 @@ class TestBatchSelectConsistency:
             assert chosen == min(a for a, s in enumerate(scores) if s >= best - 3e-9)
 
 
+def _fresh_radius(policy):
+    """EUCBV's radius recomputed from its PullStats and rounds, no cache."""
+    stats = policy.stats
+    return confidence_radius(stats.variances(), stats.counts,
+                             policy._log_conf[policy.m][:, None], policy.rho)
+
+
 def _fresh_index(pid, policy):
     """The policy's index recomputed from its PullStats, no cache involved."""
     stats = policy.stats
     if pid == "eucbv":
-        radius = confidence_radius(stats.variances(), stats.counts,
-                                   policy._log_conf[policy.m][:, None], policy.rho)
-        return stats.means() + radius
+        return stats.means() + _fresh_radius(policy)
     if pid == "moss":
         return moss_index(stats.means(), stats.counts, policy.horizon, policy.n_arms)
     return ocucb_index(stats.means(), stats.counts, policy.horizon)
 
 
 def _cached_index(pid, policy):
-    """The index the next selection would read from the cache, or None."""
-    if pid != "eucbv":
-        return policy._index
-    return policy._ucb if policy._ucb_t == policy._t else None
+    """The index the next selection reads from the cache."""
+    return policy._ucb if pid == "eucbv" else policy._index
 
 
 class TestCachedIndices:
-    """EUCBV's reused upper bounds and the MOSS/OCUCB per-cell indices equal
-    a fresh index bit for bit and choose what it would, at every step."""
+    """EUCBV's per-cell bounds and the MOSS/OCUCB per-cell indices equal a
+    fresh index bit for bit and choose what it would, at every step."""
 
     @pytest.mark.parametrize("pid", ["eucbv", "moss", "ocucb"])
     def test_choice_is_argmax_of_fresh_index(self, pid):
@@ -200,9 +210,10 @@ class TestCachedIndices:
             arms = policy.select(t)
             if t > env.n_arms:
                 fresh = _fresh_index(pid, policy)
-                cached = _cached_index(pid, policy)
-                assert cached is None or np.array_equal(cached, fresh)
+                assert np.array_equal(_cached_index(pid, policy), fresh)
                 if pid == "eucbv":
+                    lcb = policy.stats.means() - _fresh_radius(policy)
+                    assert np.array_equal(policy._lcb, lcb)
                     fresh = np.where(policy.active, fresh, -np.inf)
                 assert np.array_equal(arms, np.argmax(fresh, axis=1))
             noise = reward_noise(env, streams, 1)[:, 0]

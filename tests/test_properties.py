@@ -85,6 +85,24 @@ def test_klucb_index_bracketed(mean, pulls, t):
     assert mean - 1e-12 <= idx <= 1.0
 
 
+_KL_CELL = st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                     st.integers(min_value=1, max_value=10 ** 5))
+
+
+@_SETTINGS
+@given(_KL_CELL, st.lists(_KL_CELL, max_size=12), st.integers(min_value=0, max_value=12),
+       st.integers(min_value=1, max_value=10 ** 7))
+def test_klucb_index_independent_of_batch_mates(cell, mates, pos, t):
+    # A cell's index is the same alone and anywhere in any array at the
+    # same t, so it cannot depend on the lanes or arms it is batched with.
+    cells = list(mates)
+    cells.insert(min(pos, len(cells)), cell)
+    means, pulls = (np.array(col, dtype=np.float64) for col in zip(*cells))
+    t = max(t, int(pulls.max()))
+    alone = float(klucb_index(cell[0], cell[1], t))
+    assert float(klucb_index(means, pulls, t)[min(pos, len(mates))]) == alone
+
+
 @_SETTINGS
 @given(
     st.lists(st.integers(min_value=0, max_value=7), min_size=8, max_size=8),

@@ -11,7 +11,9 @@ from eucbv.env import make_environment, reward_noise
 from eucbv.rng import (
     DOMAIN_POLICY,
     DOMAIN_REWARDS,
+    TILE_UNIFORMS,
     StreamBatch,
+    _box_muller,
     _mix64_np,
     derive_key,
     mix64,
@@ -106,6 +108,29 @@ def test_normal_blocks_match_scalar_box_muller():
         want = [oracles.box_muller(ref.uniform(), ref.uniform()) for _ in range(5)]
         assert block[lane].tolist() == want
     assert batch.counters.tolist() == [ref.counter for ref in refs]
+
+
+def _untiled_normals(keys, n):
+    """normal_block's values drawn as one (R, 2n) uniform block."""
+    u = StreamBatch(keys).uniform_block(2 * n)
+    return _box_muller(u[:, 0::2], u[:, 1::2])
+
+
+@pytest.mark.parametrize("tile,n,lanes", [
+    # the default tile: 81 lanes of 200 uniforms fill one tile, 82 need two
+    *((TILE_UNIFORMS, 100, lanes) for lanes in (1, 81, 82, 83, 164, 165)),
+    # a small tile puts boundaries every few lanes and inside odd counts
+    *((64, n, lanes) for n in (1, 5, 32, 33) for lanes in (1, 2, 3, 7, 8, 9)),
+])
+def test_tiled_normal_block_equals_untiled(monkeypatch, tile, n, lanes):
+    monkeypatch.setattr("eucbv.rng.TILE_UNIFORMS", tile)
+    keys = np.array([derive_key(23, k) for k in range(lanes)], dtype=np.uint64)
+    batch = StreamBatch(keys)
+    got = batch.normal_block(n)
+    assert np.array_equal(got, _untiled_normals(keys, n))
+    assert batch.counters.tolist() == [2 * n] * lanes
+    # a second block continues every lane's stream where the first stopped
+    assert np.array_equal(batch.normal_block(n), _untiled_normals(keys, 2 * n)[:, n:])
 
 
 def test_gamma_block_matches_scalar_reference():

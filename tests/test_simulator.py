@@ -11,8 +11,11 @@ from eucbv.env import make_environment, reward_noise, sample_rewards_batch
 from eucbv.policies import POLICY_IDS, BatchPolicy, make_batch_policy
 from eucbv.rng import DOMAIN_POLICY, DOMAIN_REWARDS, StreamBatch
 from eucbv.simulator import (
+    CHUNK_CAP,
+    CHUNK_FLOOR,
     NOISE_BLOCK_STEPS,
     checkpoint_times,
+    chunk_width,
     run_batch,
     run_many,
 )
@@ -219,6 +222,28 @@ class TestRunMany:
         parallel = run_many(env, ("moss", None), 600, 120, 11, threads=2)
         assert np.array_equal(serial.mean_regret, parallel.mean_regret)
         assert np.array_equal(serial.stderr_regret, parallel.stderr_regret)
+
+    def test_chunk_width_follows_runs_per_thread(self):
+        assert chunk_width(100, 1) == 100 == CHUNK_CAP
+        assert chunk_width(100, 2) == 50 == CHUNK_FLOOR  # expt1 at --threads 2
+        assert chunk_width(60, 8) == 50                   # still 2 chunks
+        assert chunk_width(7, 1) == 50 and chunk_width(1000, 1) == 100
+        assert chunk_width(180, 2) == 90 and chunk_width(180, 3) == 60
+
+    # 180 runs make chunks of 100 + 80, 90 + 90 and 60 * 3 lanes.
+    @pytest.mark.parametrize("pid", POLICY_IDS)
+    def test_thread_counts_give_identical_bytes(self, pid):
+        runs, horizon, seed = 180, _HORIZON.get(pid, 300), 12
+        assert len({chunk_width(runs, threads) for threads in (1, 2, 3)}) == 3
+        env = _expt1_env() if pid in ("klucb-plus", "ts-beta", "dmed") else _gauss_env()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            aggs = [run_many(env, (pid, _PARAMS.get(pid)), horizon, runs, seed,
+                             threads=threads, n_checkpoints=30)
+                    for threads in (1, 2, 3)]
+        for agg in aggs[1:]:
+            assert agg.mean_regret.tobytes() == aggs[0].mean_regret.tobytes()
+            assert agg.stderr_regret.tobytes() == aggs[0].stderr_regret.tobytes()
 
     def test_aggregate_matches_manual_reduction(self):
         env = _expt1_env()
