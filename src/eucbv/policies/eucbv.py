@@ -129,10 +129,17 @@ class EucbvPolicy(BatchPolicy):
             return  # initialization phase: no elimination, no round resets
         # A lane already committed before this step only pulls; a lane that
         # becomes a singleton during this step still runs this step's checks.
-        lanes = self.active.sum(axis=1) > 1
+        # Every lane keeps at least one arm, so no more active cells than
+        # lanes means every lane is committed.  Liveness is read, before this
+        # step's elimination, only for the lanes due for a round reset.
+        if np.count_nonzero(self.active) == self.n_runs:
+            return
+        lanes = (t >= self.deadline) & (self.m <= self.max_rounds)
         if lanes.any():
-            self._eliminate()
-            self._advance_round(t, lanes)
+            due = np.flatnonzero(lanes)
+            lanes[due] = self.active[due].sum(axis=1) > 1
+        self._eliminate()
+        self._advance_round(t, lanes)
 
     def _eliminate(self) -> None:
         """Remove active arms whose UCB falls strictly below their lane's

@@ -52,8 +52,8 @@ class UcbvPolicy(BatchPolicy):
     policy_id = "ucbv"
 
     def _select(self, t):
-        scores = ucbv_index(self.stats.means(), self.stats.variances(),
-                            self.stats.counts, t)
+        means = self.stats.means()
+        scores = ucbv_index(means, self.stats.variances(means), self.stats.counts, t)
         return np.argmax(scores, axis=1)
 
 

@@ -11,6 +11,13 @@ batched, and distinct streams never interact.  Uniforms take the top 53 bits
 of ``out_j``; normals use the Box-Muller transform and consume exactly two
 uniforms each.
 
+The same purity means a draw that cannot change a result need not be
+computed, only counted.  ``StreamBatch.normal_argmax`` (TS-Gauss's posterior
+sample) advances each lane's counter past a whole block of normals but
+computes every cell's radius half and the angle half only for the cells
+whose bound can reach the lane's maximum; every other method computes all
+the draws it counts.
+
 Stream keys are derived by hashing ``(master_seed, run_index, domain)``, so
 replication ``k`` of an experiment gets the same reward stream whether 10 or
 10000 runs are requested, and policy-internal randomness (domain 1) never
@@ -42,10 +49,17 @@ _NP_30 = np.uint64(30)
 _NP_27 = np.uint64(27)
 _NP_31 = np.uint64(31)
 _NP_11 = np.uint64(11)
+_NP_1 = np.uint64(1)
 
 # Uniforms generated and transformed per row tile in ``normal_block``: the
 # uint64 and float temporaries stay this size whatever the lane count.
 TILE_UNIFORMS = 16384
+
+# StreamBatch.normal_argmax samples the cells with a Box-Muller radius of at
+# least PROBE_RADIUS first (a share e**-2, about 13.5%, of the cells) to find
+# a threshold, and widens every cell's bound by PRUNE_SLACK.
+PROBE_RADIUS = 2.0
+PRUNE_SLACK = 1.0 + 2.0 ** -40
 
 
 def mix64(z: int) -> int:
@@ -89,9 +103,20 @@ def _uniforms(keys: np.ndarray, js: np.ndarray) -> np.ndarray:
     return z * _INV_2_53
 
 
+def _bm_radius(u1: np.ndarray) -> np.ndarray:
+    """Box-Muller radius sqrt(-2 ln(1 - u1)) of uniforms in [0, 1); at most
+    about 8.57, reached at u1 = 1 - 2**-53."""
+    return np.sqrt(-2.0 * np.log1p(-u1))
+
+
+def _bm_angle(radius: np.ndarray, u2: np.ndarray, out=None) -> np.ndarray:
+    """Box-Muller normals radius * cos(2 pi u2) from radii and uniforms."""
+    return np.multiply(radius, np.cos(_TWO_PI * u2), out=out)
+
+
 def _box_muller(u1: np.ndarray, u2: np.ndarray, out=None) -> np.ndarray:
     """Standard normals from pairs of uniforms in [0, 1)."""
-    return np.multiply(np.sqrt(-2.0 * np.log1p(-u1)), np.cos(_TWO_PI * u2), out=out)
+    return _bm_angle(_bm_radius(u1), u2, out=out)
 
 
 class StreamBatch:
@@ -141,6 +166,48 @@ class StreamBatch:
             u = self._uniform_block_rows(rows, 2 * n)
             _box_muller(u[:, 0::2], u[:, 1::2], out=out[rows])
         return out
+
+    def normal_argmax(self, loc: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        """Per lane, the column argmax (lowest index on ties) of
+        ``loc + scale * normal_block(C)`` for (R, C) arrays ``loc`` and
+        ``scale`` (finite, scale >= 0), bit for bit, advancing every lane's
+        counter by 2C as that call would.
+
+        Every cell's radius uniform is drawn and transformed, but the angle
+        half (its uniform and the cos) runs only for cells that can win.
+        |cos| <= 1 and float rounding is monotone, so no sample exceeds its
+        cell's bound loc + scale * radius (widened by PRUNE_SLACK, so the
+        proof does not rest on cos staying inside [-1, 1] to the last bit).
+        The cells with radius >= PROBE_RADIUS are sampled first; their best
+        sample is a lower bound on the lane's maximum, and only the other
+        cells whose bound reaches it are sampled next.  Every cell that can
+        equal the maximum is sampled, so the argmax and its ties are those of
+        the full sample; the rest are counted (the counter advances past
+        their draws) but never computed.
+        """
+        n_runs, n = loc.shape
+        # Draw numbers of the radius uniforms; column c's angle is the next.
+        js = self.counters[:, None] + np.arange(1, 2 * n, 2, dtype=np.uint64)
+        radius = _bm_radius(_uniforms(self.keys[:, None], js))
+        bound = radius * PRUNE_SLACK
+        bound *= scale
+        bound += loc
+        scores = np.full((n_runs, n), -np.inf)
+        probe = radius >= PROBE_RADIUS
+        self._sample_cells(scores, np.flatnonzero(probe), js, loc, scale, radius)
+        rest = bound >= scores.max(axis=1, keepdims=True)
+        rest &= ~probe
+        self._sample_cells(scores, np.flatnonzero(rest), js, loc, scale, radius)
+        self.counters += np.uint64(2 * n)
+        return np.argmax(scores, axis=1)
+
+    def _sample_cells(self, scores, cells, js, loc, scale, radius) -> None:
+        """Write loc + scale * z into the flat cells ``cells`` of ``scores``,
+        z being the cell's normal: its radius and the angle uniform drawn
+        right after its radius uniform (draw number ``js`` + 1)."""
+        u2 = _uniforms(self.keys[cells // scores.shape[1]], js.take(cells) + _NP_1)
+        z = _bm_angle(radius.take(cells), u2)
+        np.put(scores, cells, loc.take(cells) + scale.take(cells) * z)
 
     def _uniform_block_rows(self, rows, n: int) -> np.ndarray:
         """``n`` uniforms for each lane in ``rows`` (an index array or slice)

@@ -18,9 +18,13 @@ NOISE_BLOCK_STEPS steps, the last one cut at the horizon, and turns one step
 of it at a time into rewards (``sample_rewards_batch``).  Each draw of a
 counter-based stream depends only on (key, j), so the values, and every
 lane's final counter, equal those of per-step draws.  Policies may keep
-per-cell caches (MOSS and OCUCB indices, EUCBV upper and lower bounds); they
-evaluate the same expressions on the same inputs, so they are exact by
-construction.
+per-cell caches (MOSS and OCUCB indices, EUCBV upper and lower bounds,
+TS-Gauss posterior means and sds); they evaluate the same expressions on the
+same inputs, so they are exact by construction.  TS-Gauss draws its K
+posterior samples per lane with ``StreamBatch.normal_argmax``: every lane's
+policy counter advances by 2K as a full normal block would, but only the
+samples that can be the lane's maximum are computed, and the choice is that
+of the full sample, ties included.
 """
 
 from __future__ import annotations

@@ -55,9 +55,12 @@ class PullStats:
         """Per-cell sample means; caller guarantees counts >= 1."""
         return self.sums / self.counts
 
-    def variances(self) -> np.ndarray:
-        """Per-cell biased variances, clamped at 0; caller guarantees counts >= 1."""
-        return _variance(self.sq_sums, self.counts, self.sums / self.counts)
+    def variances(self, means=None) -> np.ndarray:
+        """Per-cell biased variances, clamped at 0; caller guarantees counts >= 1.
+        ``means``, if given, must be ``means()``; it saves the divide."""
+        if means is None:
+            means = self.sums / self.counts
+        return _variance(self.sq_sums, self.counts, means)
 
     def cell_means(self, cells: np.ndarray):
         """(counts, means) of the flat cells ``cells`` (an index array of any

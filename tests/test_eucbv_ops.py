@@ -247,6 +247,21 @@ class TestAdvanceRound:
         assert policy.deadline.tolist() == [180, 180 + 20 * 15]
         assert policy.survivors().tolist() == [0, -1]
 
+    def test_lane_committing_at_its_deadline_still_resets(self):
+        # Both lanes are past N_0 = 180 and live before the step; lane 0's
+        # arm 1 falls below arm 0 and is eliminated in this very step.
+        policy = EucbvPolicy(2, 20, 60000)
+        for lane in range(2):
+            for arm in range(20):
+                _set_arm(policy, arm, 9, 0.5, 0.1, lane)
+        for arm in range(1, 20):
+            _set_arm(policy, arm, 400, 0.0, 0.0, lane=0)
+        _set_arm(policy, 0, 400, 1.0, 0.0, lane=0)
+        policy._after_update(180, np.zeros(2, dtype=np.int64), None)
+        assert policy.survivors().tolist() == [0, -1]
+        assert policy.m.tolist() == [1, 1]
+        assert policy.deadline.tolist() == [180 + 1 * 15, 180 + 20 * 15]
+
 
 class TestStep:
     def _drive(self, n_arms, horizon, tape, **kw):

@@ -22,7 +22,7 @@ from eucbv.policies import (
     ucbv_index,
     validate_params,
 )
-from eucbv.rng import StreamBatch, derive_key
+from eucbv.rng import DOMAIN_POLICY, StreamBatch, derive_key
 
 
 def _rng(seed=0, lanes=1):
@@ -196,19 +196,40 @@ def _cached_index(pid, policy):
     return policy._ucb if pid == "eucbv" else policy._index
 
 
-class TestCachedIndices:
-    """EUCBV's per-cell bounds and the MOSS/OCUCB per-cell indices equal a
-    fresh index bit for bit and choose what it would, at every step."""
+def _fresh_posterior_sample(policy):
+    """TS-Gauss's choice from a posterior recomputed from its PullStats and
+    a full normal block drawn on a clone of its stream; asserts the cached
+    posterior equals the fresh one bit for bit."""
+    precision = 1.0 + policy.stats.counts
+    post_mean, post_sd = policy.stats.sums / precision, 1.0 / np.sqrt(precision)
+    assert np.array_equal(policy._post_mean, post_mean)
+    assert np.array_equal(policy._post_sd, post_sd)
+    clone = StreamBatch(policy.rng.keys.copy())
+    clone.counters[:] = policy.rng.counters
+    samples = post_mean + post_sd * clone.normal_block(policy.n_arms)
+    return np.argmax(samples, axis=1), clone.counters
 
-    @pytest.mark.parametrize("pid", ["eucbv", "moss", "ocucb"])
+
+class TestCachedIndices:
+    """EUCBV's per-cell bounds, the MOSS/OCUCB per-cell indices and the
+    TS-Gauss posteriors equal fresh ones bit for bit and choose what they
+    would, at every step."""
+
+    @pytest.mark.parametrize("pid", ["eucbv", "moss", "ocucb", "ts-gauss"])
     def test_choice_is_argmax_of_fresh_index(self, pid):
         env = make_environment([("gaussian", m, 0.04) for m in (0.1, 0.3, 0.5, 0.55, 0.9)])
         horizon, lanes = 2000, 3
-        policy = make_batch_policy(pid, lanes, env.n_arms, horizon)
+        rng = StreamBatch.for_runs(1, range(lanes), DOMAIN_POLICY)
+        policy = make_batch_policy(pid, lanes, env.n_arms, horizon, rng=rng)
         streams = StreamBatch.for_runs(1, range(lanes))
         for t in range(1, horizon + 1):
+            if pid == "ts-gauss":  # checks the cache before select draws
+                sampled, counters = _fresh_posterior_sample(policy)
             arms = policy.select(t)
-            if t > env.n_arms:
+            if t > env.n_arms and pid == "ts-gauss":
+                assert np.array_equal(arms, sampled)
+                assert np.array_equal(rng.counters, counters)
+            elif t > env.n_arms:
                 fresh = _fresh_index(pid, policy)
                 assert np.array_equal(_cached_index(pid, policy), fresh)
                 if pid == "eucbv":

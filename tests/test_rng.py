@@ -13,6 +13,8 @@ from eucbv.rng import (
     DOMAIN_REWARDS,
     TILE_UNIFORMS,
     StreamBatch,
+    _bm_angle,
+    _bm_radius,
     _box_muller,
     _mix64_np,
     derive_key,
@@ -131,6 +133,75 @@ def test_tiled_normal_block_equals_untiled(monkeypatch, tile, n, lanes):
     assert batch.counters.tolist() == [2 * n] * lanes
     # a second block continues every lane's stream where the first stopped
     assert np.array_equal(batch.normal_block(n), _untiled_normals(keys, 2 * n)[:, n:])
+
+
+def test_box_muller_halves_compose_bit_for_bit():
+    # the edge uniforms 0 and 1 - 2**-53, then random pairs
+    rng = np.random.default_rng(4)
+    top = 1.0 - 2.0 ** -53
+    u1 = np.concatenate([[0.0, 0.0, top, top, 2.0 ** -53], rng.random(995)])
+    u2 = np.concatenate([[0.0, top, 0.0, top, 0.5], rng.random(995)])
+    full = _box_muller(u1, u2)
+    assert full.tolist() == [oracles.box_muller(a, b) for a, b in zip(u1, u2)]
+    radius = _bm_radius(u1)
+    assert np.array_equal(_bm_angle(radius, u2), full)
+    # the halves on gathered cells and on strided views give the same bits
+    cells = rng.choice(u1.size, 37, replace=False)
+    assert np.array_equal(_bm_angle(radius.take(cells), u2.take(cells)), full[cells])
+    assert np.array_equal(_bm_angle(_bm_radius(u1[1::3]), u2[1::3]), full[1::3])
+    assert radius[0] == 0.0 and radius[2] == radius.max() < 8.6
+
+
+def _full_sample_argmax(batch, loc, scale):
+    """Argmax of loc + scale * normal_block(C) on a clone of ``batch``,
+    and the clone's counters afterwards."""
+    clone = StreamBatch(batch.keys.copy())
+    clone.counters[:] = batch.counters
+    choice = np.argmax(loc + scale * clone.normal_block(loc.shape[1]), axis=1)
+    return choice, clone.counters
+
+
+def _posterior(rng, lanes, arms):
+    """TS-Gauss posteriors (sums/(1+z), 1/sqrt(1+z)); some cells never pulled."""
+    pulls = rng.integers(0, 400, size=(lanes, arms)) * (rng.random((lanes, arms)) < 0.8)
+    sums = pulls * rng.normal(0.5, 0.3, size=(lanes, arms))
+    return sums / (1.0 + pulls), 1.0 / np.sqrt(1.0 + pulls)
+
+
+def _argmax_states(rng):
+    """(loc, scale) pairs covering the shapes normal_argmax must get right."""
+    yield np.zeros((1, 2)), np.ones((1, 2))                  # R=1, K=2, prior
+    yield np.zeros((5, 100)), np.ones((5, 100))              # never-pulled rows
+    for lanes, arms in ((1, 2), (3, 7), (6, 100)):
+        yield _posterior(rng, lanes, arms)
+    # scales from 1e-6 to 10 on loose and on near-tied means
+    scale = 10.0 ** rng.uniform(-6, 1, size=(6, 50))
+    yield rng.uniform(-1, 1, size=(6, 50)), scale
+    yield 0.5 + 1e-7 * rng.standard_normal((6, 50)), scale
+    # rows tied on loc and scale; at scales 0 and 1e-20 every sample ties, so
+    # column 0 must win even in lanes where it is not sampled first
+    for s in (0.0, 1e-20, 1e-6, 1.0, 10.0):
+        yield np.full((4, 30), 0.25), np.full((4, 30), s)
+    # one dominant cell per row, and a row of equal posteriors beside it
+    loc, scale = _posterior(rng, 3, 40)
+    loc[0, 17] = 50.0
+    loc[1], scale[1] = loc[1, 0], scale[1, 0]
+    yield loc, scale
+
+
+def test_normal_argmax_equals_full_sample_argmax():
+    rng = np.random.default_rng(8)
+    for case, (loc, scale) in enumerate(_argmax_states(rng)):
+        lanes = loc.shape[0]
+        keys = np.array([derive_key(31, 100 * case + k) for k in range(lanes)],
+                        dtype=np.uint64)
+        batch = StreamBatch(keys)
+        batch.counters[:] = rng.integers(0, 10 ** 6, size=lanes)
+        for _ in range(20):  # consecutive calls continue each lane's stream
+            want, counters = _full_sample_argmax(batch, loc, scale)
+            got = batch.normal_argmax(loc, scale)
+            assert np.array_equal(got, want), case
+            assert np.array_equal(batch.counters, counters)
 
 
 def test_gamma_block_matches_scalar_reference():
