@@ -3,7 +3,7 @@
 Config format (flat sections; unknown keys are errors)::
 
     [experiment]
-    name = my-experiment
+    name = my-experiment        ; names the CSVs: a plain file name
     horizon = 60000
     runs = 100
     master_seed = 123456789     ; optional
@@ -21,12 +21,18 @@ Config format (flat sections; unknown keys are errors)::
 
 Presets expt1..expt4 reproduce the four benchmark testbeds; expt3/expt4 draw
 their randomized per-arm variances once from env_seed and freeze them for
-all replications.
+all replications.  A preset config's [policy.*] sections replace the
+preset's roster, and a preset's horizon and runs default to the paper's T
+and 100.
+
+Validation builds each policy of the roster that will run once, and no
+other, so scipy loads during set-up only when that roster has Bayes-UCB.
 """
 
 from __future__ import annotations
 
 import configparser
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -62,7 +68,7 @@ class ExperimentSpec:
     master_seed: int
     env_seed: int
     policies: tuple                # (policy_id, params dict) pairs
-    checkpoints: int = DEFAULT_CHECKPOINTS
+    checkpoints: int
 
     def environment(self):
         return make_environment(self.arms)
@@ -160,46 +166,65 @@ def preset_spec(name: str, *, runs: int | None = None, horizon: int | None = Non
     """Build and validate one of the compiled-in presets, with optional
     overrides."""
     arms, paper_horizon = preset_testbed(name, env_seed)
-    spec = ExperimentSpec(
-        name=name,
-        arms=arms,
-        horizon=paper_horizon if horizon is None else horizon,
-        runs=100 if runs is None else runs,
-        master_seed=DEFAULT_MASTER_SEED if master_seed is None else master_seed,
-        env_seed=DEFAULT_ENV_SEED if env_seed is None else env_seed,
-        policies=tuple((pid, dict(params)) for pid, params in _PRESETS[name][2]),
-        checkpoints=DEFAULT_CHECKPOINTS if checkpoints is None else checkpoints,
-    )
-    _validate_spec(spec)
-    return spec
+    return _build_spec(name, arms, _PRESETS[name][2], paper_horizon, runs=runs,
+                       horizon=horizon, master_seed=master_seed, env_seed=env_seed,
+                       checkpoints=checkpoints)
 
 
-def _validate_spec(spec: ExperimentSpec) -> None:
-    if spec.runs < 1:
-        raise ConfigValidationError(f"runs must be >= 1, got {spec.runs}")
-    if spec.horizon < len(spec.arms):
+def _build_spec(name: str, arms: tuple, roster, paper_horizon: int | None, *,
+                runs, horizon, master_seed, env_seed, checkpoints) -> ExperimentSpec:
+    """Fill every default of a spec and validate it, its environment and
+    ``roster``, the policies that will run.  Every spec is built here.
+
+    A preset passes its ``paper_horizon``, the default horizon, and runs
+    default to 100; a spec without one needs both.  Each other number that is
+    None takes the library default.
+    """
+    if paper_horizon is not None:
+        horizon = paper_horizon if horizon is None else horizon
+        runs = 100 if runs is None else runs
+    elif horizon is None or runs is None:
+        raise ConfigValidationError("[experiment] horizon and runs are required")
+    if name in ("", ".", "..") or {"/", os.sep, "\0"} & set(name):
         raise ConfigValidationError(
-            f"horizon {spec.horizon} smaller than the number of arms {len(spec.arms)}"
+            f"experiment name {name!r} must be a plain file name (it names the CSVs)"
         )
-    if spec.checkpoints < 1:
+    if runs < 1:
+        raise ConfigValidationError(f"runs must be >= 1, got {runs}")
+    if horizon < len(arms):
+        raise ConfigValidationError(
+            f"horizon {horizon} smaller than the number of arms {len(arms)}"
+        )
+    checkpoints = DEFAULT_CHECKPOINTS if checkpoints is None else checkpoints
+    if checkpoints < 1:
         raise ConfigValidationError("checkpoints must be >= 1")
-    if not spec.policies:
+    if not roster:
         raise ConfigValidationError("at least one [policy.<id>] section is required")
-    for pid, params in spec.policies:
+    try:
+        make_environment(arms)
+    except ValueError as exc:
+        raise ConfigValidationError(str(exc)) from exc
+    for pid, params in roster:
         # A one-lane build runs every parameter check a policy makes before
         # any policy of the roster runs; its warnings come again at run time,
         # and it draws nothing from the stream the TS policies require.
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                make_batch_policy(pid, 1, len(spec.arms), spec.horizon, params,
+                make_batch_policy(pid, 1, len(arms), horizon, params,
                                   rng=StreamBatch.for_runs(0, [0]))
         except ValueError as exc:
             raise ConfigValidationError(str(exc)) from exc
-    try:
-        make_environment(spec.arms)
-    except ValueError as exc:
-        raise ConfigValidationError(str(exc)) from exc
+    return ExperimentSpec(
+        name=name,
+        arms=arms,
+        horizon=horizon,
+        runs=runs,
+        master_seed=DEFAULT_MASTER_SEED if master_seed is None else master_seed,
+        env_seed=DEFAULT_ENV_SEED if env_seed is None else env_seed,
+        policies=tuple((pid, dict(params)) for pid, params in roster),
+        checkpoints=checkpoints,
+    )
 
 
 _EXPERIMENT_KEYS = {"name", "horizon", "runs", "master_seed", "env_seed", "checkpoints"}
@@ -232,10 +257,10 @@ def _parse_value_list(text: str, what: str) -> list:
     return out
 
 
-def _get_int(section, key: str, default=None):
+def _get_int(section, key: str):
     raw = section.get(key)
     if raw is None:
-        return default
+        return None
     try:
         return int(raw)
     except ValueError as exc:
@@ -261,66 +286,41 @@ def load_config(path: str, *, runs: int | None = None, horizon: int | None = Non
         raise ConfigParseError(f"cannot parse config {path}: {exc}") from exc
 
     sections = set(parser.sections())
-    policy_sections = [s for s in sections if s.startswith("policy.")]
-    known = {"experiment", "environment"} | set(policy_sections)
-    unknown = sections - known
+    unknown = {s for s in sections if not s.startswith("policy.")} - {"experiment", "environment"}
     if unknown:
         raise ConfigValidationError(f"unknown config section(s): {', '.join(sorted(unknown))}")
     if "experiment" not in sections:
         raise ConfigValidationError("missing [experiment] section")
+    if "environment" not in sections:
+        raise ConfigValidationError("missing [environment] section (or a preset)")
 
     exp = parser["experiment"]
     bad = set(exp) - _EXPERIMENT_KEYS
     if bad:
         raise ConfigValidationError(f"unknown [experiment] key(s): {', '.join(sorted(bad))}")
+    env_section = parser["environment"]
+    bad = set(env_section) - _ENVIRONMENT_KEYS
+    if bad:
+        raise ConfigValidationError(f"unknown [environment] key(s): {', '.join(sorted(bad))}")
 
-    def number(key, override, default=None):
-        return _get_int(exp, key, default) if override is None else override
+    overrides = dict(runs=runs, horizon=horizon, master_seed=master_seed,
+                     env_seed=env_seed, checkpoints=checkpoints)
+    numbers = {key: _get_int(exp, key) if value is None else value
+               for key, value in overrides.items()}
+    policies = [(sec[len("policy."):], dict(parser[sec]))
+                for sec in parser.sections() if sec.startswith("policy.")]
 
-    env_section = parser["environment"] if "environment" in sections else {}
-    if "environment" in sections:
-        bad = set(env_section) - _ENVIRONMENT_KEYS
-        if bad:
-            raise ConfigValidationError(f"unknown [environment] key(s): {', '.join(sorted(bad))}")
-
-    policies = []
-    for sec_name in parser.sections():
-        if not sec_name.startswith("policy."):
-            continue
-        pid = sec_name[len("policy."):]
-        params = dict(parser[sec_name])
-        policies.append((pid, params))
-
-    preset = env_section.get("preset") if env_section else None
+    preset = env_section.get("preset")
     if preset is not None:
-        base = preset_spec(
-            preset,
-            runs=number("runs", runs),
-            horizon=number("horizon", horizon),
-            master_seed=number("master_seed", master_seed),
-            env_seed=number("env_seed", env_seed),
-            checkpoints=number("checkpoints", checkpoints),
-        )
         extra = set(env_section) - {"preset"}
         if extra:
             raise ConfigValidationError(
                 f"[environment] preset excludes other keys: {', '.join(sorted(extra))}"
             )
-        spec = ExperimentSpec(
-            name=exp.get("name", base.name),
-            arms=base.arms,
-            horizon=base.horizon,
-            runs=base.runs,
-            master_seed=base.master_seed,
-            env_seed=base.env_seed,
-            policies=tuple((p, dict(prm)) for p, prm in (policies or base.policies)),
-            checkpoints=base.checkpoints,
-        )
-        _validate_spec(spec)
-        return spec
+        arms, paper_horizon = preset_testbed(preset, numbers["env_seed"])
+        return _build_spec(exp.get("name", preset), arms, policies or _PRESETS[preset][2],
+                           paper_horizon, **numbers)
 
-    if "environment" not in sections:
-        raise ConfigValidationError("missing [environment] section (or a preset)")
     kind = env_section.get("kind")
     if kind not in (BERNOULLI, GAUSSIAN):
         raise ConfigValidationError(
@@ -340,20 +340,4 @@ def load_config(path: str, *, runs: int | None = None, horizon: int | None = Non
         if "variances" in env_section:
             raise ConfigValidationError("[environment] bernoulli arms derive their variances")
         arms = tuple(_group(BERNOULLI, means))
-
-    horizon = number("horizon", horizon)
-    runs = number("runs", runs)
-    if horizon is None or runs is None:
-        raise ConfigValidationError("[experiment] horizon and runs are required")
-    spec = ExperimentSpec(
-        name=exp.get("name", "experiment"),
-        arms=arms,
-        horizon=horizon,
-        runs=runs,
-        master_seed=number("master_seed", master_seed, DEFAULT_MASTER_SEED),
-        env_seed=number("env_seed", env_seed, DEFAULT_ENV_SEED),
-        policies=tuple(policies),
-        checkpoints=number("checkpoints", checkpoints, DEFAULT_CHECKPOINTS),
-    )
-    _validate_spec(spec)
-    return spec
+    return _build_spec(exp.get("name", "experiment"), arms, policies, None, **numbers)

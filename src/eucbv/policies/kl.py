@@ -18,6 +18,8 @@ from .base import BatchPolicy
 
 _EPS = 1e-15
 KLUCB_TOL = 1e-9
+# The bracket is never wider than 1, so this many halvings reach KLUCB_TOL.
+_KLUCB_ITERS = math.ceil(math.log2(1.0 / KLUCB_TOL))
 
 
 def kl_bernoulli(p, q):
@@ -27,13 +29,12 @@ def kl_bernoulli(p, q):
     return p * np.log(p / q) + (1.0 - p) * np.log((1.0 - p) / (1.0 - q))
 
 
-def klucb_index(mean, pulls, t, tol: float = KLUCB_TOL):
+def klucb_index(mean, pulls, t):
     """KL-UCB+ upper confidence index, scalar or vectorized over arms/lanes.
 
-    Bisection on [mean, 1].  The bracket is never wider than 1, so every
-    cell takes the same ceil(log2(1/tol)) halvings (30 at the default tol),
-    a count that reads no data: a cell's index never depends on the other
-    cells of the array it is computed in.
+    Bisection on [mean, 1].  Every cell takes the same ceil(log2(1/KLUCB_TOL))
+    = 30 halvings, a count that reads no data: a cell's index never depends
+    on the other cells of the array it is computed in.
     """
     scalar = np.ndim(mean) == 0 and np.ndim(pulls) == 0
     mean = np.clip(np.atleast_1d(np.asarray(mean, dtype=np.float64)), _EPS, 1.0 - _EPS)
@@ -48,7 +49,6 @@ def klucb_index(mean, pulls, t, tol: float = KLUCB_TOL):
     # kl(p, q) <= rhs  <=>  p ln q + (1-p) ln(1-q) >= entropy_term - rhs
     target = mean * np.log(mean) + (1.0 - mean) * np.log1p(-mean) - rhs
     comp = 1.0 - mean
-    iters = math.ceil(math.log2(1.0 / tol))
     mid = np.empty_like(mean)
     w1 = np.empty_like(mean)
     w2 = np.empty_like(mean)
@@ -58,7 +58,7 @@ def klucb_index(mean, pulls, t, tol: float = KLUCB_TOL):
     # to exactly 1.0 and log1p(-1) = -inf; the comparison still resolves
     # correctly (midpoint rejected), so the divide warning is noise.
     with np.errstate(divide="ignore"):
-        for _ in range(iters):
+        for _ in range(_KLUCB_ITERS):
             width *= 0.5
             np.add(lo, width, out=mid)
             np.log(mid, out=w1)

@@ -96,14 +96,23 @@ class _SweepPolicy(BatchPolicy):
         self._cursor = arms + 1
         return arms
 
-    def _completed(self, arms: np.ndarray, counts: np.ndarray,
-                   live: np.ndarray) -> np.ndarray:
-        """Live lanes whose every active arm has met this round's quota."""
-        lanes = np.nonzero(live & (counts[self._rows, arms] >= self._quota))[0]
+    def _completed(self, arms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Live lanes whose every active arm has met this round's quota.
+
+        Only the lanes whose pulled arm met its quota are read further,
+        liveness first; no step reduces the whole (R, K) mask.
+        """
+        lanes = np.nonzero(counts[self._rows, arms] >= self._quota)[0]
+        if lanes.size:
+            lanes = lanes[self._live(lanes)]
         if not lanes.size:
             return lanes
         least = np.where(self.active[lanes], counts[lanes], np.inf).min(axis=1)
         return lanes[least >= self._quota[lanes]]
+
+    def _live(self, lanes: np.ndarray) -> np.ndarray:
+        """Which of ``lanes`` still hold more than one active arm."""
+        return np.count_nonzero(self.active[lanes], axis=1) > 1
 
     def _next_round(self, lanes: np.ndarray) -> None:
         self.m[lanes] += 1
@@ -139,10 +148,13 @@ class UcbImprovedPolicy(_SweepPolicy):
     def _select(self, t):
         return self._sweep(self.stats.counts)
 
+    def _live(self, lanes):
+        """Lanes with more than one active arm and a round left to finish."""
+        return super()._live(lanes) & (self.m[lanes] <= self._max_rounds)
+
     def _after_update(self, t, arms, rewards):
         counts = self.stats.counts
-        live = (self.active.sum(axis=1) > 1) & (self.m <= self._max_rounds)
-        done = self._completed(arms, counts, live)
+        done = self._completed(arms, counts)
         if not done.size:
             return
         c = self._widths[self.m[done]][:, None]
@@ -187,7 +199,7 @@ class MedianElimPolicy(_SweepPolicy):
         # A committed lane's round statistics are never read again.
         self._round_counts[self._rows, arms] += 1.0
         self._round_sums[self._rows, arms] += rewards
-        done = self._completed(arms, self._round_counts, self.active.sum(axis=1) > 1)
+        done = self._completed(arms, self._round_counts)
         for lane in done.tolist():
             idx = np.nonzero(self.active[lane])[0]
             means = self._round_sums[lane, idx] / self._round_counts[lane, idx]

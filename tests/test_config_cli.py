@@ -17,6 +17,7 @@ from eucbv.config import (
     load_config,
     preset_spec,
 )
+from eucbv.policies import make_batch_policy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -169,6 +170,24 @@ rho = 0.5
         with pytest.raises(ConfigValidationError, match="ucb99"):
             load_config(_write(tmp_path, text))
 
+    def test_preset_config_builds_each_policy_once(self, tmp_path, monkeypatch):
+        built = []
+
+        def counting(policy_id, *args, **kwargs):
+            built.append(policy_id)
+            return make_batch_policy(policy_id, *args, **kwargs)
+
+        monkeypatch.setattr("eucbv.config.make_batch_policy", counting)
+        head = "[experiment]\nhorizon = 300\nruns = 2\n\n[environment]\npreset = expt1\n"
+        spec = load_config(_write(tmp_path, head + "\n[policy.eucbv]\n[policy.moss]\n"))
+        assert built == ["eucbv", "moss"] == [p for p, _ in spec.policies]
+        # without [policy.*] sections the preset's roster runs
+        built.clear()
+        spec = load_config(_write(tmp_path, head, "roster.ini"))
+        assert built == [p for p, _ in spec.policies] == [
+            "eucbv", "ucb1", "ucbv", "moss", "ocucb", "klucb-plus", "ts-beta", "dmed"]
+        assert spec.name == "expt1" and (spec.runs, spec.horizon) == (2, 300)
+
 
 class TestCmdRun:
     def test_csv_schema_and_determinism(self, tmp_path):
@@ -264,12 +283,18 @@ class TestCli:
             MINIMAL + "[policy.eucbv]\nrho = -1\n",
             MINIMAL.replace("horizon = 50", "horizon = 3") + "[policy.eucbv]\n",
         )
+        # an experiment name must be one plain file-name component: it
+        # names the CSVs inside --out
+        names = ("", "../escaped", "sub/x", f"sub{os.sep}x", ".", "..", "nul\0byte")
+        bad += tuple(MINIMAL.replace("name = tiny", f"name = {name}") for name in names)
         for i, text in enumerate(bad):
             out = tmp_path / f"out{i}"
             path = _write(tmp_path, text, f"bad{i}.ini")
             assert main(["run", "--config", path, "--out", str(out)]) == 3, text
             assert not out.exists()
-            assert "[tiny] ucb1:" not in capsys.readouterr().err
+            assert "] ucb1:" not in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(f"bad{i}.ini" for i in range(len(bad)))
 
     def test_non_finite_environment_exit_code(self, tmp_path):
         text = MINIMAL.replace("kind = bernoulli", "kind = gaussian").replace(
@@ -307,6 +332,25 @@ preset = expt3
             assert main(["run", "--config", path, "--env-seed", seed, "--out", str(out)]) == 0
             summaries.append((out / "mini3_summary.csv").read_bytes())
         assert summaries[0] != summaries[1]
+
+    def test_preset_config_roster_replaces_preset_roster(self, tmp_path):
+        # T = K = 20 is too small for EUCBV, which this roster does not run
+        text = """\
+[experiment]
+name = own
+horizon = 20
+runs = 2
+checkpoints = 3
+
+[environment]
+preset = expt1
+
+[policy.ucb1]
+"""
+        out = tmp_path / "out"
+        assert main(["run", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+        summary = (out / "own_summary.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in summary[1:]] == ["ucb1"]
 
     def test_parse_exit_code(self, tmp_path):
         bad = _write(tmp_path, "[experiment\n")
@@ -383,12 +427,18 @@ class TestScipyImport:
     """scipy.special is loaded only where Bayes-UCB is built or scored."""
 
     def test_rosters_without_bayes_ucb_never_load_scipy(self, tmp_path):
+        # expt3's preset roster has Bayes-UCB; this config's own roster has not
+        moss_only = _write(tmp_path, "[experiment]\nhorizon = 200\nruns = 2\n"
+                           "checkpoints = 3\n\n[environment]\npreset = expt3\n\n"
+                           "[policy.moss]\n")
         _fresh(f"""
 import sys
 from eucbv.cli import main
 assert "scipy.special" not in sys.modules
 assert main(["run", "--preset", "expt1", "--runs", "2", "--horizon", "60",
              "--checkpoints", "3", "--out", {str(tmp_path / "run")!r}]) == 0
+assert "scipy.special" not in sys.modules
+assert main(["run", "--config", {moss_only!r}, "--out", {str(tmp_path / "moss")!r}]) == 0
 assert "scipy.special" not in sys.modules
 assert main(["bounds", "--K", "4", "--T", "1000", "--delta", "0.2"]) == 0
 assert main(["bounds", "--preset", "expt1"]) == 0

@@ -345,6 +345,8 @@ class TestRoundPolicies:
         # committed lane
         assert (batch.survivors() >= 0).any()
         assert max(ref.round for ref in refs) >= 3
+        # a committed lane finishes no more rounds
+        assert batch.m.tolist() == [ref.round for ref in refs]
 
     def test_median_elim_batch_matches_scalar_reference(self):
         params = {"epsilon": 0.9, "delta": 0.9}
@@ -355,6 +357,17 @@ class TestRoundPolicies:
         # odd rounds keep the arm whose mean is the median
         assert (batch.survivors() >= 0).all()
         assert batch.m.tolist() == [3, 3, 3]
+
+    def test_median_elim_committed_lane_finishes_no_round(self):
+        # round 0 (quota 150) drops arm 1; the lane then pulls arm 0 past
+        # every later quota (364, 820, ...) but finishes no further round
+        policy = make_batch_policy("median-elim", 1, 2, 4000, {"epsilon": 0.9, "delta": 0.9})
+        for t in range(1, 4001):
+            arm = int(policy.select(t)[0])
+            policy.update(np.array([arm]), np.array([(0.9, 0.1)[arm]]))
+        assert policy.survivors().tolist() == [0]
+        assert policy.pull_counts()[0].tolist() == [3850, 150]
+        assert policy.m.tolist() == [1]
 
     def test_ucb_improved_stops_at_round_cap(self):
         # T = 695 puts T d^2 just under 4e in the last round (M = 3), whose
