@@ -3,7 +3,8 @@
 Config format (flat sections; unknown keys are errors)::
 
     [experiment]
-    name = my-experiment        ; names the CSVs: a plain file name
+    name = my-experiment        ; names the CSVs: a plain file name,
+                                ; at most 230 bytes in UTF-8
     horizon = 60000
     runs = 100
     master_seed = 123456789     ; optional
@@ -43,6 +44,11 @@ from .simulator import DEFAULT_CHECKPOINTS
 
 DEFAULT_MASTER_SEED = 123456789
 DEFAULT_ENV_SEED = 987654321
+# The longest file a run writes is the temporary summary CSV
+# ".<name>_summary.csv.<pid>.tmp" (cli._write_csv).  Linux pids stay below
+# 2**22, so at most 7 digits, and that file name fits the common NAME_MAX of
+# 255 bytes when the name takes at most 255 - 18 - 7 = 230 bytes in UTF-8.
+_MAX_NAME_BYTES = 255 - len("._summary.csv..tmp") - 7
 
 
 class ConfigError(Exception):
@@ -188,6 +194,11 @@ def _build_spec(name: str, arms: tuple, roster, paper_horizon: int | None, *,
     if name in ("", ".", "..") or {"/", os.sep, "\0"} & set(name):
         raise ConfigValidationError(
             f"experiment name {name!r} must be a plain file name (it names the CSVs)"
+        )
+    if len(name.encode("utf-8", "surrogatepass")) > _MAX_NAME_BYTES:
+        raise ConfigValidationError(
+            f"experiment name must take at most {_MAX_NAME_BYTES} bytes in UTF-8 "
+            "(it names the CSVs and their temporary files)"
         )
     if runs < 1:
         raise ConfigValidationError(f"runs must be >= 1, got {runs}")

@@ -26,6 +26,7 @@ collides with reward draws (domain 0).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -92,15 +93,28 @@ def derive_key(master_seed: int, run_index: int, domain: int = DOMAIN_REWARDS) -
     return mix64(mix64(mix64(master_seed & _MASK64) ^ (run_index & _MASK64)) ^ domain)
 
 
-def _uniforms(keys: np.ndarray, js: np.ndarray) -> np.ndarray:
-    """Uniforms in [0, 1) for draw numbers ``js`` of the streams ``keys``
-    (uint64 arrays; ``keys`` broadcasts to the shape of ``js``): the top 53
-    bits of ``mix64(key + j * GOLDEN)``."""
-    z = js * _NP_GOLDEN
-    z += keys
+def _unit(z: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) at the stream points ``z = key + j * GOLDEN``
+    (uint64, overwritten): the top 53 bits of ``mix64(z)``."""
     z = _mix64_np(z)
     z >>= _NP_11
     return z * _INV_2_53
+
+
+def _uniforms(keys: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """Uniforms for draw numbers ``js`` of the streams ``keys`` (uint64
+    arrays; ``keys`` broadcasts to the shape of ``js``)."""
+    z = js * _NP_GOLDEN
+    z += keys
+    return _unit(z)
+
+
+@functools.lru_cache(maxsize=64)
+def _golden_steps(n: int) -> np.ndarray:
+    """The read-only offsets j * GOLDEN, j = 1..n, of a block of n draws."""
+    steps = np.arange(1, n + 1, dtype=np.uint64) * _NP_GOLDEN
+    steps.flags.writeable = False
+    return steps
 
 
 def _bm_radius(u1: np.ndarray) -> np.ndarray:
@@ -212,9 +226,11 @@ class StreamBatch:
     def _uniform_block_rows(self, rows, n: int) -> np.ndarray:
         """``n`` uniforms for each lane in ``rows`` (an index array or slice)
         only; shape (len(rows), n)."""
-        js = self.counters[rows, None] + np.arange(1, n + 1, dtype=np.uint64)[None, :]
+        # key + (counter + j) * GOLDEN = (key + counter * GOLDEN) + j * GOLDEN
+        base = self.counters[rows] * _NP_GOLDEN
+        base += self.keys[rows]
         self.counters[rows] += np.uint64(n)
-        return _uniforms(self.keys[rows, None], js)
+        return _unit(base[:, None] + _golden_steps(n))
 
     def gamma_block(self, shape: np.ndarray) -> np.ndarray:
         """Gamma(shape, 1) per cell of an (R, C) shape array, shapes >= 1.
@@ -233,9 +249,11 @@ class StreamBatch:
         c = 1.0 / np.sqrt(9.0 * d)
         out = np.empty_like(d)
         pending = np.ones((n_runs, n_cols), dtype=bool)
-        rows = np.arange(n_runs)
+        # The first pass draws for every lane through whole-array views;
+        # later passes gather the lanes still pending.
+        lanes, rows = np.arange(n_runs), slice(None)
         with np.errstate(divide="ignore", invalid="ignore"):
-            while rows.size:
+            while lanes.size:
                 u = self._uniform_block_rows(rows, 3 * n_cols)
                 x = _box_muller(u[:, :n_cols], u[:, n_cols:2 * n_cols])
                 dd = d[rows]
@@ -249,7 +267,7 @@ class StreamBatch:
                 out[rows] = sub_out
                 sub_pend = pending[rows] & ~accept
                 pending[rows] = sub_pend
-                rows = rows[sub_pend.any(axis=1)]
+                lanes = rows = lanes[sub_pend.any(axis=1)]
         return out
 
     def beta_block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -20,11 +20,17 @@ counter-based stream depends only on (key, j), so the values, and every
 lane's final counter, equal those of per-step draws.  Policies may keep
 per-cell caches (MOSS and OCUCB indices, EUCBV upper and lower bounds,
 TS-Gauss posterior means and sds); they evaluate the same expressions on the
-same inputs, so they are exact by construction.  TS-Gauss draws its K
-posterior samples per lane with ``StreamBatch.normal_argmax``: every lane's
-policy counter advances by 2K as a full normal block would, but only the
-samples that can be the lane's maximum are computed, and the choice is that
-of the full sample, ties included.
+same inputs, so they are exact by construction.
+
+Selection reads only each lane's argmax, and two policies skip the work that
+cannot change it.  TS-Gauss draws its K posterior samples per lane with
+``StreamBatch.normal_argmax``: every lane's policy counter advances by 2K as
+a full normal block would, but only the samples that can be the lane's
+maximum are computed.  KL-UCB+ selects with ``klucb_argmax``: it bisects
+only the cells whose bracket can still reach the lane's best, folds cells
+whose bisection state repeats a lower column's, and stops once every lane
+has one cell left.  Both choices are those of the full computation, ties
+included, and both read only the lane's own row.
 """
 
 from __future__ import annotations

@@ -286,6 +286,9 @@ class TestCli:
         # an experiment name must be one plain file-name component: it
         # names the CSVs inside --out
         names = ("", "../escaped", "sub/x", f"sub{os.sep}x", ".", "..", "nul\0byte")
+        # ... short enough that ".<name>_summary.csv.<pid>.tmp" fits 255
+        # bytes: at most 230 bytes in UTF-8
+        names += ("a" * 231, "a" * 300, "\u00e9" * 116)
         bad += tuple(MINIMAL.replace("name = tiny", f"name = {name}") for name in names)
         for i, text in enumerate(bad):
             out = tmp_path / f"out{i}"
@@ -295,6 +298,16 @@ class TestCli:
             assert "] ucb1:" not in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             sorted(f"bad{i}.ini" for i in range(len(bad)))
+
+    def test_name_at_the_byte_cap_runs(self, tmp_path):
+        # 115 two-byte characters: 230 bytes in UTF-8, the longest name
+        # whose temporary summary file name still fits 255 bytes
+        name = "\u00e9" * 115
+        path = _write(tmp_path, MINIMAL.replace("name = tiny", f"name = {name}"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted(f"{name}_{kind}.csv" for kind in ("curves", "summary"))
 
     def test_non_finite_environment_exit_code(self, tmp_path):
         text = MINIMAL.replace("kind = bernoulli", "kind = gaussian").replace(

@@ -22,6 +22,7 @@ from eucbv.policies import (
     ucbv_index,
     validate_params,
 )
+from eucbv.policies.kl import _contends, klucb_argmax
 from eucbv.rng import DOMAIN_POLICY, StreamBatch, derive_key
 
 
@@ -111,6 +112,25 @@ class TestKlUcb:
     def test_exhausted_budget_collapses_to_mean(self):
         # z == t makes the exploration allowance ln(t/z) = 0.
         assert float(klucb_index(0.4, 50, 50)) == pytest.approx(0.4, abs=2e-9)
+
+    def test_argmax_breaks_ties_at_lowest_column(self):
+        # Column 1 is the best cell and columns 2-3 duplicate it exactly.
+        # At t = 5 every allowance is 0, so each index is its mean: columns
+        # 1 and 2 tie without being duplicates.
+        means = np.array([[0.3, 0.5, 0.5, 0.5], [0.3, 0.5, 0.5, 0.2]])
+        pulls = np.array([[10.0, 7.0, 7.0, 7.0], [10.0, 7.0, 20.0, 5.0]])
+        for t in (100, 5):
+            want = np.argmax(klucb_index(means, pulls, t), axis=1)
+            assert np.array_equal(klucb_argmax(means, pulls, t), want)
+        assert np.array_equal(klucb_argmax(means, pulls, 5), [1, 1])
+
+    def test_prune_margin(self):
+        # A cell stays unless lo + 2*width + 2**-40 is strictly below the
+        # lane's best lo.  Each value below is exact in binary.
+        best = np.array([0.5, 0.5, 0.5])
+        lo = np.array([0.5 - 2.0 ** -40, 0.25, 0.5 - 2.0 ** -39])
+        width = np.array([0.0, 0.125 - 2.0 ** -41, 0.0])
+        assert _contends(lo, width, best).tolist() == [True, True, False]
 
 
 class TestBayesUcb:

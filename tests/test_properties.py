@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import oracles
 from eucbv.env import make_environment, reward_noise, sample_rewards_batch
 from eucbv.policies import make_batch_policy
 from eucbv.policies.eucbv import EucbvPolicy, confidence_radius
-from eucbv.policies.kl import klucb_index
+from eucbv.policies.kl import kl_bernoulli, klucb_argmax, klucb_index
 from eucbv.rng import StreamBatch, _mix64_np, derive_key, mix64
 from eucbv.simulator import checkpoint_times, run_batch
 from eucbv.stats import PullStats
@@ -101,6 +102,63 @@ def test_klucb_index_independent_of_batch_mates(cell, mates, pos, t):
     t = max(t, int(pulls.max()))
     alone = float(klucb_index(cell[0], cell[1], t))
     assert float(klucb_index(means, pulls, t)[min(pos, len(mates))]) == alone
+
+
+def _mean_with_index(q, pulls, t):
+    """A mean whose KL-UCB+ index at (pulls, t) is about q: the root b <= q
+    of pulls * kl(b, q) = ln(t / pulls), by bisection (0 if there is none)."""
+    rhs = max(math.log(t / pulls), 0.0) / pulls
+    if rhs == 0.0:
+        return q
+    if kl_bernoulli(0.0, q) <= rhs:
+        return 0.0
+    lo, hi = 0.0, q
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if kl_bernoulli(mid, q) > rhs else (lo, mid)
+    return hi
+
+
+@st.composite
+def _klucb_states(draw):
+    """(means, pulls, t) of R lanes by K arms.  Besides random cells, a cell
+    may repeat a lower column exactly, sit at the clamps or at z = 1 or
+    z >= t (rhs = 0), or have an index within 1e-9..1e-6 of a lower column's,
+    a near-tie that only the last halvings separate."""
+    n_runs = draw(st.integers(min_value=1, max_value=4))
+    n_arms = draw(st.integers(min_value=2, max_value=8))
+    t = draw(st.integers(min_value=1, max_value=10 ** 6))
+    means = np.empty((n_runs, n_arms))
+    pulls = np.empty((n_runs, n_arms))
+    for r in range(n_runs):
+        for k in range(n_arms):
+            kind = draw(st.sampled_from(["random", "edge", "duplicate", "near"])) \
+                if k else draw(st.sampled_from(["random", "edge"]))
+            j = draw(st.integers(min_value=0, max_value=max(k - 1, 0)))
+            if kind == "random":
+                mean = draw(st.floats(min_value=0.0, max_value=1.0))
+                n = draw(st.integers(min_value=1, max_value=10 ** 5))
+            elif kind == "edge":
+                mean = draw(st.sampled_from([0.0, 1e-15, 0.5, 1.0 - 1e-15, 1.0]))
+                n = draw(st.sampled_from([1, 2, t, t + 1]))
+            elif kind == "duplicate":
+                mean, n = means[r, j], pulls[r, j]
+            else:
+                n = draw(st.integers(min_value=1, max_value=10 ** 5))
+                gap = draw(st.sampled_from([0.0, 1e-9, -1e-9, 3e-9, -3e-9, 1e-8, -1e-8,
+                                            1e-7, -1e-7, 1e-6, -1e-6]))
+                q = float(klucb_index(means[r, j], pulls[r, j], t)) + gap
+                mean = _mean_with_index(min(max(q, 0.0), 1.0), n, t)
+            means[r, k], pulls[r, k] = mean, n
+    return means, pulls, t
+
+
+@settings(max_examples=400, deadline=None)
+@given(_klucb_states())
+def test_klucb_argmax_equals_full_index_argmax(state):
+    means, pulls, t = state
+    want = np.argmax(klucb_index(means, pulls, t), axis=1)
+    assert np.array_equal(klucb_argmax(means, pulls, t), want)
 
 
 @_SETTINGS

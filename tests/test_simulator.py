@@ -9,6 +9,7 @@ import pytest
 
 from eucbv.env import make_environment, reward_noise, sample_rewards_batch
 from eucbv.policies import POLICY_IDS, BatchPolicy, make_batch_policy
+from eucbv.policies.kl import KlUcbPlusPolicy, klucb_index
 from eucbv.rng import DOMAIN_POLICY, DOMAIN_REWARDS, StreamBatch
 from eucbv.simulator import (
     CHUNK_CAP,
@@ -160,6 +161,27 @@ class TestBatchEquivalence:
                 ]
                 for i in range(3):
                     assert np.array_equal(np.concatenate([p[i] for p in parts]), whole[i])
+
+
+class _FullIndexKlUcb(KlUcbPlusPolicy):
+    """KL-UCB+ choosing the argmax of every cell's full 30-halving index."""
+
+    def _select(self, t):
+        return np.argmax(klucb_index(self.stats.means(), self.stats.counts, t), axis=1)
+
+
+class TestKlUcbEarlyExit:
+    @pytest.mark.parametrize("runs", [1, 50, 100])
+    def test_trajectory_equals_full_index_argmax(self, runs):
+        # The early-exit selection proves each lane's argmax; the pulls and
+        # per-step regret must be those of the full index, at any width.
+        env, horizon, seed = _expt1_env(), 2000, 1
+        lanes = range(runs)
+        got = _run(env, _policy("klucb-plus", lanes, env.n_arms, horizon, seed),
+                   horizon, seed, lanes)
+        want = _run(env, _FullIndexKlUcb(runs, env.n_arms, horizon), horizon, seed, lanes)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
 
 class TestBlockNoise:
