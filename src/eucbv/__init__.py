@@ -1,7 +1,7 @@
 """Variance-aware arm-elimination bandits with baselines, a deterministic
 replication harness, regret-bound calculators, and lemma verifiers."""
 
-from .env import ArmModel, Environment, make_environment, reward_noise, sample_rewards_batch
+from .env import Environment, make_environment, reward_noise, sample_rewards_batch
 from .rng import StreamBatch
 from .simulator import AggregateCurve, run_batch, run_many
 from .stats import PullStats
@@ -9,7 +9,6 @@ from .stats import PullStats
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmModel",
     "Environment",
     "make_environment",
     "reward_noise",

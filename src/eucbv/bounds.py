@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import BERNOULLI, ArmModel, Environment
-from .policies.eucbv import round_cap
+from .env import Environment
+from .policies.eucbv import confidence_radius, round_cap
 from .rng import StreamBatch
 
 _LN2 = math.log(2.0)
@@ -260,7 +260,7 @@ def verify_lemma2(ks=None, t_max: int = 10 ** 7, t_points: int = 25,
                 if quota <= 0.0:
                     skipped += 1
                     continue
-                radius = math.sqrt(rho * 3.0 * _clamped_log(psi * t * eps) / (4.0 * quota))
+                radius = float(confidence_radius(1.0, quota, _clamped_log(psi * t * eps), rho))
                 points += 1
                 margin = radius - gap / 4.0
                 if margin > worst:
@@ -322,10 +322,11 @@ class TailReport:
         return self.frequency <= self.threshold
 
 
-def check_bernstein_tail(arm: ArmModel, pulls: int, epsilon_m: float, psi: float,
+def check_bernstein_tail(mean: float, pulls: int, epsilon_m: float, psi: float,
                          horizon: int, rho: float, samples: int, rng: StreamBatch,
                          side: str = "upper") -> TailReport:
-    """Estimate P(mean_hat deviates from the mean by the analysis radius).
+    """Estimate P(mean_hat deviates from the mean by the analysis radius)
+    for a Bernoulli arm of this ``mean``, whose variance is mean*(1-mean).
 
     The radius is c = sqrt(rho*(sigma^2 + sqrt(eps_m) + 2)*ln(psi*T*eps_m) /
     (4*z)); the stated bound on the one-sided deviation probability is
@@ -335,22 +336,22 @@ def check_bernstein_tail(arm: ArmModel, pulls: int, epsilon_m: float, psi: float
     paired secondary check.  ``rng`` is a one-lane stream; the check draws
     ``samples * pulls`` uniforms from it.
     """
-    if arm.kind != BERNOULLI:
-        raise ValueError("the tail check needs a bounded (Bernoulli) arm")
+    if not 0.0 <= mean <= 1.0:
+        raise ValueError(f"a Bernoulli arm's mean must be in [0, 1], got {mean}")
     if side not in ("upper", "lower"):
         raise ValueError("side must be 'upper' or 'lower'")
     if pulls < 1 or samples < 1:
         raise ValueError("pulls and samples must be >= 1")
     log_term = _clamped_log(psi * horizon * epsilon_m)
     radius = math.sqrt(
-        rho * (arm.variance + math.sqrt(epsilon_m) + 2.0) * log_term / (4.0 * pulls)
+        rho * (mean * (1.0 - mean) + math.sqrt(epsilon_m) + 2.0) * log_term / (4.0 * pulls)
     )
     bound = 2.0 / (psi * horizon * epsilon_m) ** (1.5 * rho)
     draws = rng.uniform_block(samples * pulls)[0].reshape(samples, pulls)
-    means = (draws < arm.mean).mean(axis=1)
+    means = (draws < mean).mean(axis=1)
     if side == "upper":
-        frequency = float((means > arm.mean + radius).mean())
+        frequency = float((means > mean + radius).mean())
     else:
-        frequency = float((means < arm.mean - radius).mean())
+        frequency = float((means < mean - radius).mean())
     threshold = bound + 3.0 * math.sqrt(bound * (1.0 - bound) / samples)
     return TailReport(side, pulls, radius, bound, samples, frequency, threshold)

@@ -39,7 +39,6 @@ from .config import (
     preset_spec,
     preset_testbed,
 )
-from .env import ArmModel, make_environment
 from .rng import StreamBatch
 from .simulator import run_many
 
@@ -111,25 +110,30 @@ def cmd_run(spec: ExperimentSpec, out_dir: Path, threads: int = 1) -> list:
 def cmd_bounds(n_arms: int, horizon: int, delta: float | None, preset: str | None,
                sigma_sq: float | None, out_dir: Path | None) -> list:
     """Evaluate the comparison table and the gap-dependent bound; write CSVs."""
-    if preset is not None:
-        arms, horizon = preset_testbed(preset)
-        env = make_environment(arms)
-        inputs = bounds_mod.BoundInputs.from_environment(env, horizon)
-        n_arms = env.n_arms
-    else:
-        if horizon < 1:
-            raise ConfigValidationError("--T must be >= 1")
-        if not 0.0 < delta < math.inf:
-            raise ConfigValidationError("--delta must be positive and finite")
-        var = 0.25 if sigma_sq is None else sigma_sq
-        gaps = (0.0,) + (delta,) * (n_arms - 1)
-        variances = (var,) * n_arms
-        inputs = bounds_mod.BoundInputs(n_arms, horizon, gaps, variances,
-                                        math.sqrt(math.e / horizon))
-
-    rows = bounds_mod.table1_bounds(inputs)
-    theorem_value = bounds_mod.eucbv_gap_dependent_bound(inputs)
-    corollary_value = bounds_mod.gap_independent_bound(n_arms, horizon)
+    # Every value is computed and checked before any is printed, so inputs
+    # whose bounds overflow or divide by an underflowed gap print nothing.
+    try:
+        if preset is not None:
+            env, horizon = preset_testbed(preset)
+            n_arms = env.n_arms
+            inputs = bounds_mod.BoundInputs.from_environment(env, horizon)
+        else:
+            if horizon < 1:
+                raise ConfigValidationError("--T must be >= 1")
+            if not 0.0 < delta < math.inf:
+                raise ConfigValidationError("--delta must be positive and finite")
+            var = 0.25 if sigma_sq is None else sigma_sq
+            gaps = (0.0,) + (delta,) * (n_arms - 1)
+            inputs = bounds_mod.BoundInputs(n_arms, horizon, gaps, (var,) * n_arms,
+                                            math.sqrt(math.e / horizon))
+        rows = bounds_mod.table1_bounds(inputs)
+        theorem_value = bounds_mod.eucbv_gap_dependent_bound(inputs)
+        corollary_value = bounds_mod.gap_independent_bound(n_arms, horizon)
+        values = [v for _, dep, indep in rows for v in (dep, indep)]
+        if not all(map(math.isfinite, values + [theorem_value, corollary_value])):
+            raise ArithmeticError
+    except ArithmeticError as exc:
+        raise ConfigValidationError("the bounds are not finite for these inputs") from exc
 
     print(f"bounds for K={n_arms}, T={horizon} (all unspecified constants = 1)")
     print(f"{'algorithm':<14}{'gap_dependent':>16}{'gap_independent':>18}")
@@ -153,13 +157,11 @@ def cmd_bounds(n_arms: int, horizon: int, delta: float | None, preset: str | Non
 def cmd_verify_lemmas(grid: str, tail_samples: int | None, seed: int,
                       out_dir: Path | None) -> bool:
     """Run the lemma verifiers; returns True when no unexpected violation."""
-    if grid == "full":
-        ks, t_points = (2, 4, 8, 16, 32, 64), 25
-    else:
-        ks, t_points = (2, 8, 32), 8
+    # the full grid is the verifiers' default one
+    grid_args = {} if grid == "full" else dict(ks=(2, 8, 32), t_points=8)
     reports = [
-        bounds_mod.verify_lemma1(ks=ks, t_points=t_points),
-        bounds_mod.verify_lemma2(ks=ks, t_points=t_points),
+        bounds_mod.verify_lemma1(**grid_args),
+        bounds_mod.verify_lemma2(**grid_args),
         bounds_mod.verify_lemma6(),
     ]
     lines = []
@@ -174,7 +176,7 @@ def cmd_verify_lemmas(grid: str, tail_samples: int | None, seed: int,
         rng = StreamBatch.for_runs(seed, [0])
         psi = 60000 / 400.0
         report = bounds_mod.check_bernstein_tail(
-            ArmModel.bernoulli(0.1), pulls=9, epsilon_m=1.0, psi=psi, horizon=60000,
+            0.1, pulls=9, epsilon_m=1.0, psi=psi, horizon=60000,
             rho=0.5, samples=tail_samples, rng=rng,
         )
         lines.append(

@@ -15,7 +15,7 @@ Config format (flat sections; unknown keys are errors)::
     preset = expt1              ; either this ...
     kind = bernoulli            ; ... or kind/means(/variances)
     means = 0.07*19, 0.1        ; "value*count" repeats the value
-    variances = 0.01*66, 0.25*34   ; gaussian only
+    variances = 0.01*66, 0.25*34   ; gaussian only, one per mean
 
     [policy.eucbv]              ; one section per policy, in run order
     rho = 0.5
@@ -26,18 +26,22 @@ all replications.  A preset config's [policy.*] sections replace the
 preset's roster, and a preset's horizon and runs default to the paper's T
 and 100.
 
-Validation builds each policy of the roster that will run once, and no
-other, so scipy loads during set-up only when that roster has Bayes-UCB.
+The [environment] keys go to ``env.make_environment``, which checks the arms;
+its errors come back as validation errors prefixed "[environment]".  A spec
+holds the Environment it built, so a run builds it once.  Validation builds
+each policy of the roster that will run once, and no other, so scipy loads
+during set-up only when that roster has Bayes-UCB.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
 import warnings
 from dataclasses import dataclass
 
-from .env import BERNOULLI, GAUSSIAN, make_environment
+from .env import BERNOULLI, GAUSSIAN, Environment, make_environment
 from .policies import make_batch_policy
 from .rng import DOMAIN_ENV_GEN, StreamBatch
 from .simulator import DEFAULT_CHECKPOINTS
@@ -68,22 +72,15 @@ class ExperimentSpec:
     """A fully validated experiment description."""
 
     name: str
-    arms: tuple                    # (kind, mean, variance) triples
+    env: Environment
     horizon: int
     runs: int
     master_seed: int
-    env_seed: int
     policies: tuple                # (policy_id, params dict) pairs
     checkpoints: int
 
-    def environment(self):
-        return make_environment(self.arms)
-
-
-def _group(kind: str, means, variances=None) -> list:
-    if variances is None:
-        return [(kind, m, None) for m in means]
-    return [(kind, m, v) for m, v in zip(means, variances)]
+    def environment(self) -> Environment:
+        return self.env
 
 
 def _env_uniforms(env_seed: int, n: int, lo: float, hi: float) -> list:
@@ -92,30 +89,30 @@ def _env_uniforms(env_seed: int, n: int, lo: float, hi: float) -> list:
     return [lo + (hi - lo) * u for u in rng.uniform_block(n)[0].tolist()]
 
 
-def _expt1_arms(env_seed: int) -> list:
-    return _group(BERNOULLI, [0.07] * 19 + [0.1])
+def _expt1_env(env_seed: int) -> Environment:
+    return make_environment(BERNOULLI, [0.07] * 19 + [0.1])
 
 
-def _expt2_arms(env_seed: int) -> list:
+def _expt2_env(env_seed: int) -> Environment:
     means = [0.07] * 66 + [0.01] * 33 + [0.09]
     variances = [0.01] * 66 + [0.25] * 33 + [0.25]
-    return _group(GAUSSIAN, means, variances)
+    return make_environment(GAUSSIAN, means, variances)
 
 
-def _expt3_arms(env_seed: int) -> list:
+def _expt3_env(env_seed: int) -> Environment:
     means = [0.045] * 10 + [0.04] * 89 + [0.05]
     variances = [0.01] * 10 + _env_uniforms(env_seed, 89, 0.2, 0.24) + [0.25]
-    return _group(GAUSSIAN, means, variances)
+    return make_environment(GAUSSIAN, means, variances)
 
 
-def _expt4_arms(env_seed: int) -> list:
+def _expt4_env(env_seed: int) -> Environment:
     draws = _env_uniforms(env_seed, 99, 0.0, 1.0)
     variances = (
         [0.05 * u for u in draws[:49]]
         + [0.19 + 0.05 * u for u in draws[49:]]
         + [0.25]
     )
-    return _group(GAUSSIAN, [0.09] * 99 + [0.1], variances)
+    return make_environment(GAUSSIAN, [0.09] * 99 + [0.1], variances)
 
 
 _GAUSS_ROSTER = (
@@ -127,9 +124,9 @@ _GAUSS_ROSTER = (
     ("bayes-ucb", {"prior": "gauss"}),
 )
 
-# Preset name -> (arms from env_seed, paper horizon, roster in run order).
+# Preset name -> (environment from env_seed, paper horizon, roster in run order).
 _PRESETS = {
-    "expt1": (_expt1_arms, 60000, (
+    "expt1": (_expt1_env, 60000, (
         ("eucbv", {}),
         ("ucb1", {}),
         ("ucbv", {}),
@@ -139,7 +136,7 @@ _PRESETS = {
         ("ts-beta", {}),
         ("dmed", {}),
     )),
-    "expt2": (_expt2_arms, 300000, (
+    "expt2": (_expt2_env, 300000, (
         ("eucbv", {}),
         ("ucb1", {}),
         ("ucbv", {}),
@@ -150,20 +147,21 @@ _PRESETS = {
         ("bayes-ucb", {"prior": "gauss"}),
         ("median-elim", {"epsilon": 0.1, "delta": 0.1}),
     )),
-    "expt3": (_expt3_arms, 400000, _GAUSS_ROSTER),
-    "expt4": (_expt4_arms, 400000, _GAUSS_ROSTER),
+    "expt3": (_expt3_env, 400000, _GAUSS_ROSTER),
+    "expt4": (_expt4_env, 400000, _GAUSS_ROSTER),
 }
 PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_testbed(name: str, env_seed: int | None = None) -> tuple:
-    """A preset's (arms, paper horizon); builds no policy of its roster."""
+    """A preset's (Environment, paper horizon); builds no policy of its
+    roster."""
     if name not in PRESET_NAMES:
         raise ConfigValidationError(
             f"unknown preset {name!r} (known: {', '.join(PRESET_NAMES)})"
         )
-    arms, horizon, _ = _PRESETS[name]
-    return tuple(arms(DEFAULT_ENV_SEED if env_seed is None else env_seed)), horizon
+    build_env, horizon, _ = _PRESETS[name]
+    return build_env(DEFAULT_ENV_SEED if env_seed is None else env_seed), horizon
 
 
 def preset_spec(name: str, *, runs: int | None = None, horizon: int | None = None,
@@ -171,16 +169,16 @@ def preset_spec(name: str, *, runs: int | None = None, horizon: int | None = Non
                 checkpoints: int | None = None) -> ExperimentSpec:
     """Build and validate one of the compiled-in presets, with optional
     overrides."""
-    arms, paper_horizon = preset_testbed(name, env_seed)
-    return _build_spec(name, arms, _PRESETS[name][2], paper_horizon, runs=runs,
-                       horizon=horizon, master_seed=master_seed, env_seed=env_seed,
-                       checkpoints=checkpoints)
+    env, paper_horizon = preset_testbed(name, env_seed)
+    return _build_spec(name, env, _PRESETS[name][2], paper_horizon, runs=runs,
+                       horizon=horizon, master_seed=master_seed, checkpoints=checkpoints)
 
 
-def _build_spec(name: str, arms: tuple, roster, paper_horizon: int | None, *,
-                runs, horizon, master_seed, env_seed, checkpoints) -> ExperimentSpec:
-    """Fill every default of a spec and validate it, its environment and
-    ``roster``, the policies that will run.  Every spec is built here.
+def _build_spec(name: str, env: Environment, roster, paper_horizon: int | None, *,
+                runs, horizon, master_seed, checkpoints) -> ExperimentSpec:
+    """Fill every default of a spec and validate it against its built
+    environment and ``roster``, the policies that will run.  Every spec is
+    built here.
 
     A preset passes its ``paper_horizon``, the default horizon, and runs
     default to 100; a spec without one needs both.  Each other number that is
@@ -202,19 +200,23 @@ def _build_spec(name: str, arms: tuple, roster, paper_horizon: int | None, *,
         )
     if runs < 1:
         raise ConfigValidationError(f"runs must be >= 1, got {runs}")
-    if horizon < len(arms):
+    if horizon < env.n_arms:
         raise ConfigValidationError(
-            f"horizon {horizon} smaller than the number of arms {len(arms)}"
+            f"horizon {horizon} smaller than the number of arms {env.n_arms}"
+        )
+    # Regret is at most T * max gap, so this bounds every regret value and
+    # every stderr's sum of squares; float products overflow to inf, where
+    # ** would raise.
+    span = horizon * float(env.gaps.max())
+    if not math.isfinite(runs * span * span):
+        raise ConfigValidationError(
+            f"runs * (horizon * max gap)^2 overflows a float (horizon * max gap = {span})"
         )
     checkpoints = DEFAULT_CHECKPOINTS if checkpoints is None else checkpoints
     if checkpoints < 1:
         raise ConfigValidationError("checkpoints must be >= 1")
     if not roster:
         raise ConfigValidationError("at least one [policy.<id>] section is required")
-    try:
-        make_environment(arms)
-    except ValueError as exc:
-        raise ConfigValidationError(str(exc)) from exc
     for pid, params in roster:
         # A one-lane build runs every parameter check a policy makes before
         # any policy of the roster runs; its warnings come again at run time,
@@ -222,17 +224,16 @@ def _build_spec(name: str, arms: tuple, roster, paper_horizon: int | None, *,
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                make_batch_policy(pid, 1, len(arms), horizon, params,
+                make_batch_policy(pid, 1, env.n_arms, horizon, params,
                                   rng=StreamBatch.for_runs(0, [0]))
         except ValueError as exc:
             raise ConfigValidationError(str(exc)) from exc
     return ExperimentSpec(
         name=name,
-        arms=arms,
+        env=env,
         horizon=horizon,
         runs=runs,
         master_seed=DEFAULT_MASTER_SEED if master_seed is None else master_seed,
-        env_seed=DEFAULT_ENV_SEED if env_seed is None else env_seed,
         policies=tuple((pid, dict(params)) for pid, params in roster),
         checkpoints=checkpoints,
     )
@@ -318,6 +319,7 @@ def load_config(path: str, *, runs: int | None = None, horizon: int | None = Non
                      env_seed=env_seed, checkpoints=checkpoints)
     numbers = {key: _get_int(exp, key) if value is None else value
                for key, value in overrides.items()}
+    env_seed = numbers.pop("env_seed")
     policies = [(sec[len("policy."):], dict(parser[sec]))
                 for sec in parser.sections() if sec.startswith("policy.")]
 
@@ -328,27 +330,16 @@ def load_config(path: str, *, runs: int | None = None, horizon: int | None = Non
             raise ConfigValidationError(
                 f"[environment] preset excludes other keys: {', '.join(sorted(extra))}"
             )
-        arms, paper_horizon = preset_testbed(preset, numbers["env_seed"])
-        return _build_spec(exp.get("name", preset), arms, policies or _PRESETS[preset][2],
+        env, paper_horizon = preset_testbed(preset, env_seed)
+        return _build_spec(exp.get("name", preset), env, policies or _PRESETS[preset][2],
                            paper_horizon, **numbers)
 
-    kind = env_section.get("kind")
-    if kind not in (BERNOULLI, GAUSSIAN):
-        raise ConfigValidationError(
-            f"[environment] kind must be '{BERNOULLI}' or '{GAUSSIAN}', got {kind!r}"
-        )
     means = _parse_value_list(env_section.get("means", ""), "means")
-    if kind == GAUSSIAN:
-        if "variances" not in env_section:
-            raise ConfigValidationError("[environment] gaussian arms need variances")
-        variances = _parse_value_list(env_section["variances"], "variances")
-        if len(variances) != len(means):
-            raise ConfigValidationError(
-                f"means ({len(means)}) and variances ({len(variances)}) differ in length"
-            )
-        arms = tuple(_group(GAUSSIAN, means, variances))
-    else:
-        if "variances" in env_section:
-            raise ConfigValidationError("[environment] bernoulli arms derive their variances")
-        arms = tuple(_group(BERNOULLI, means))
-    return _build_spec(exp.get("name", "experiment"), arms, policies, None, **numbers)
+    variances = env_section.get("variances")
+    if variances is not None:
+        variances = _parse_value_list(variances, "variances")
+    try:
+        env = make_environment(env_section.get("kind"), means, variances)
+    except ValueError as exc:
+        raise ConfigValidationError(f"[environment] {exc}") from exc
+    return _build_spec(exp.get("name", "experiment"), env, policies, None, **numbers)

@@ -1,10 +1,12 @@
-"""Arm reward models and bandit environments.
+"""Bandit environments and reward sampling.
 
-Arms are Bernoulli or Gaussian with known means, so the simulator can account
-pseudo-regret exactly; an environment holds arms of a single kind.  Gaussian
-samples are deliberately NOT clipped to [0, 1] even though the algorithms'
-analyses assume bounded rewards: the Gaussian experiment testbeds run the
-algorithms on unbounded samples, and clipping would shift every mean.
+An environment is one arm kind plus per-arm mean and variance arrays, built
+and checked once by ``make_environment``.  Arms are Bernoulli or Gaussian
+with known means, so the simulator can account pseudo-regret exactly.
+Gaussian samples are deliberately NOT clipped to [0, 1] even though the
+algorithms' analyses assume bounded rewards: the Gaussian experiment
+testbeds run the algorithms on unbounded samples, and clipping would shift
+every mean.
 
 Rewards come in two steps: ``reward_noise`` draws a block of per-lane noise
 from the reward streams, and ``sample_rewards_batch`` turns one step of it
@@ -13,7 +15,6 @@ into rewards for the arms pulled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,49 +27,13 @@ _KINDS = (BERNOULLI, GAUSSIAN)
 
 
 @dataclass(frozen=True)
-class ArmModel:
-    """One arm's reward distribution with known mean and variance."""
-
-    kind: str
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown arm kind {self.kind!r}")
-        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
-            raise ValueError(
-                f"arm mean and variance must be finite, got {self.mean}, {self.variance}"
-            )
-        if self.kind == BERNOULLI:
-            if not 0.0 <= self.mean <= 1.0:
-                raise ValueError(f"Bernoulli mean must be in [0, 1], got {self.mean}")
-            expected = self.mean * (1.0 - self.mean)
-            if self.variance != expected:
-                raise ValueError(
-                    f"Bernoulli variance must equal mean*(1-mean)={expected}, got {self.variance}"
-                )
-        elif self.variance < 0.0:
-            raise ValueError(f"variance must be >= 0, got {self.variance}")
-
-    @classmethod
-    def bernoulli(cls, mean: float) -> "ArmModel":
-        return cls(BERNOULLI, float(mean), float(mean) * (1.0 - float(mean)))
-
-    @classmethod
-    def gaussian(cls, mean: float, variance: float) -> "ArmModel":
-        return cls(GAUSSIAN, float(mean), float(variance))
-
-
-@dataclass(frozen=True)
 class Environment:
-    """An ordered set of arms of one ``kind`` with gap accounting.
+    """K arms of one ``kind`` with per-arm means, variances and gaps.
 
     ``optimal_index`` is the lowest index attaining the maximal mean; all
     co-maximal arms have gap exactly 0.  Immutable and safe to share.
     """
 
-    arms: tuple
     kind: str
     means: np.ndarray = field(repr=False)
     variances: np.ndarray = field(repr=False)
@@ -77,40 +42,54 @@ class Environment:
 
     @property
     def n_arms(self) -> int:
-        return len(self.arms)
+        return self.means.size
+
+    def __eq__(self, other) -> bool:
+        # the arrays compare by value; gaps and optimal_index follow from means
+        return (isinstance(other, Environment) and self.kind == other.kind
+                and np.array_equal(self.means, other.means)
+                and np.array_equal(self.variances, other.variances))
 
 
-def make_environment(spec) -> Environment:
-    """Build an Environment from ArmModels or (kind, mean[, variance]) tuples.
+def make_environment(kind: str, means, variances=None) -> Environment:
+    """Build and check an environment of ``kind`` arms with these means.
 
-    Rejects K < 2, arms of more than one kind, non-finite values, Bernoulli
-    means outside [0, 1], and negative variances.  For Bernoulli entries a
-    supplied variance must equal mean*(1-mean); pass None (or omit it) to
-    have it derived.
+    Bernoulli arms take no variances: each is derived as mean*(1-mean).
+    Gaussian arms need one variance per mean.  Rejects an unknown kind,
+    K < 2, unequal lengths, non-finite values, Bernoulli means outside
+    [0, 1], negative variances, and gaps too wide for a float.
     """
-    arms = []
-    for entry in spec:
-        if isinstance(entry, ArmModel):
-            arms.append(entry)
-            continue
-        kind, mean, *rest = entry
-        variance = rest[0] if rest else None
-        if kind == BERNOULLI and variance is None:
-            arms.append(ArmModel.bernoulli(mean))
-        elif variance is None:
-            raise ValueError(f"{kind} arm requires an explicit variance")
-        else:
-            arms.append(ArmModel(kind, float(mean), float(variance)))
-    if len(arms) < 2:
-        raise ValueError(f"an environment needs at least 2 arms, got {len(arms)}")
-    kinds = {a.kind for a in arms}
-    if len(kinds) > 1:
-        raise ValueError(f"an environment holds one arm kind, got {sorted(kinds)}")
-    means = np.array([a.mean for a in arms], dtype=np.float64)
-    variances = np.array([a.variance for a in arms], dtype=np.float64)
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be '{BERNOULLI}' or '{GAUSSIAN}', got {kind!r}")
+    means = np.array(means, dtype=np.float64)
+    if kind == BERNOULLI:
+        if variances is not None:
+            raise ValueError("bernoulli arms derive their variances; give none")
+        variances = means * (1.0 - means)
+    elif variances is None:
+        raise ValueError("gaussian arms need variances, one per mean")
+    else:
+        variances = np.array(variances, dtype=np.float64)
+    if means.ndim != 1 or means.size < 2:
+        raise ValueError(f"an environment needs a list of at least 2 means, got {means.size}")
+    if variances.shape != means.shape:
+        raise ValueError(
+            f"means ({means.size}) and variances ({variances.size}) differ in length"
+        )
+    if not (np.isfinite(means).all() and np.isfinite(variances).all()):
+        raise ValueError("arm means and variances must be finite")
+    if kind == BERNOULLI and not ((0.0 <= means) & (means <= 1.0)).all():
+        raise ValueError(f"bernoulli means must be in [0, 1], got {means.min()}..{means.max()}")
+    if (variances < 0.0).any():
+        raise ValueError(f"variances must be >= 0, got {variances.min()}")
     optimal = int(np.argmax(means))  # ties resolve to the lowest index
-    gaps = means[optimal] - means
-    return Environment(tuple(arms), arms[0].kind, means, variances, gaps, optimal)
+    with np.errstate(over="ignore"):
+        gaps = means[optimal] - means
+    if not np.isfinite(gaps).all():
+        raise ValueError(
+            f"the gap between means {means[optimal]} and {means.min()} overflows a float"
+        )
+    return Environment(kind, means, variances, gaps, optimal)
 
 
 def reward_noise(env: Environment, streams: StreamBatch, steps: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from eucbv.bounds import (
     verify_lemma2,
     verify_lemma6,
 )
-from eucbv.env import ArmModel, make_environment, reward_noise, sample_rewards_batch
+from eucbv.env import make_environment, reward_noise, sample_rewards_batch
 from eucbv.policies import EucbvPolicy
 from eucbv.rng import StreamBatch
 from eucbv.stats import PullStats
@@ -153,7 +153,7 @@ def _random_instance(rng):
     k = int(rng.integers(2, 5))
     horizon = int(rng.integers(k + 1, 140))
     means = rng.integers(0, 101, size=k) / 100.0
-    env = make_environment([("bernoulli", float(m)) for m in means])
+    env = make_environment("bernoulli", means)
     return env, horizon
 
 
@@ -258,7 +258,7 @@ def test_criterion_8_concentration_check():
     """Lemma-3 style tail frequency within bound + 3 SE at 1e5 samples."""
     t0 = time.perf_counter()
     report = check_bernstein_tail(
-        ArmModel.bernoulli(0.1), pulls=9, epsilon_m=1.0, psi=150.0,
+        0.1, pulls=9, epsilon_m=1.0, psi=150.0,
         horizon=60000, rho=0.5, samples=100_000,
         rng=StreamBatch.for_runs(20250102, [0]),
     )

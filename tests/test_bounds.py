@@ -21,7 +21,6 @@ from eucbv.bounds import (
     verify_lemma2,
     verify_lemma6,
 )
-from eucbv.env import ArmModel
 from eucbv.rng import StreamBatch
 
 
@@ -197,14 +196,14 @@ class TestLemma6:
 class TestBernsteinTail:
     def test_degenerate_arm_never_deviates(self):
         report = check_bernstein_tail(
-            ArmModel.bernoulli(1.0), pulls=9, epsilon_m=1.0, psi=150.0,
+            1.0, pulls=9, epsilon_m=1.0, psi=150.0,
             horizon=60000, rho=0.5, samples=2000, rng=StreamBatch.for_runs(3, [0]))
         assert report.frequency == 0.0
         assert report.ok
 
     def test_expt1_round_zero_bound_value(self):
         report = check_bernstein_tail(
-            ArmModel.bernoulli(0.1), pulls=9, epsilon_m=1.0, psi=150.0,
+            0.1, pulls=9, epsilon_m=1.0, psi=150.0,
             horizon=60000, rho=0.5, samples=5000, rng=StreamBatch.for_runs(3, [1]))
         assert report.bound == pytest.approx(
             oracles.bernstein_bound(150, 60000, 1.0, 0.5), rel=1e-12)
@@ -213,21 +212,22 @@ class TestBernsteinTail:
 
     def test_doubling_pulls_never_hurts(self):
         kwargs = dict(epsilon_m=1.0, psi=150.0, horizon=60000, rho=0.5, samples=20000)
-        arm = ArmModel.bernoulli(0.1)
-        f1 = check_bernstein_tail(arm, pulls=9, rng=StreamBatch.for_runs(4, [0]), **kwargs)
-        f2 = check_bernstein_tail(arm, pulls=18, rng=StreamBatch.for_runs(4, [1]), **kwargs)
+        f1 = check_bernstein_tail(0.1, pulls=9, rng=StreamBatch.for_runs(4, [0]), **kwargs)
+        f2 = check_bernstein_tail(0.1, pulls=18, rng=StreamBatch.for_runs(4, [1]), **kwargs)
         noise = 3.0 / math.sqrt(20000)
         assert f2.frequency <= f1.frequency + noise
 
     def test_lower_tail_side(self):
         report = check_bernstein_tail(
-            ArmModel.bernoulli(0.9), pulls=9, epsilon_m=1.0, psi=150.0,
+            0.9, pulls=9, epsilon_m=1.0, psi=150.0,
             horizon=60000, rho=0.5, samples=2000,
             rng=StreamBatch.for_runs(5, [0]), side="lower")
         assert report.ok
 
-    def test_gaussian_arm_rejected(self):
-        with pytest.raises(ValueError):
-            check_bernstein_tail(
-                ArmModel.gaussian(0.5, 0.1), pulls=4, epsilon_m=1.0, psi=2.0,
-                horizon=100, rho=0.5, samples=10, rng=StreamBatch.for_runs(6, [0]))
+    def test_unbounded_mean_rejected(self):
+        # the check models a bounded (Bernoulli) arm; no such arm has these means
+        for mean in (1.2, -0.1, math.nan):
+            with pytest.raises(ValueError):
+                check_bernstein_tail(
+                    mean, pulls=4, epsilon_m=1.0, psi=2.0,
+                    horizon=100, rho=0.5, samples=10, rng=StreamBatch.for_runs(6, [0]))

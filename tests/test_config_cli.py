@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import json
 import math
 import os
 import subprocess
@@ -20,6 +22,7 @@ from eucbv.config import (
 from eucbv.policies import make_batch_policy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
 
 
 def _src_env() -> dict:
@@ -53,34 +56,35 @@ means = 0.2*2, 0.8
 class TestPresets:
     def test_expt1_contents(self):
         spec = preset_spec("expt1")
-        assert len(spec.arms) == 20
-        assert spec.arms[0] == ("bernoulli", 0.07, None)
-        assert spec.arms[19] == ("bernoulli", 0.1, None)
+        env = spec.env
+        assert (env.kind, env.n_arms) == ("bernoulli", 20)
+        assert env.means[0] == 0.07 and env.means[19] == 0.1
+        assert env.variances[0] == 0.07 * (1.0 - 0.07)
         assert spec.horizon == 60000
         assert spec.runs == 100
         assert "eucbv" in dict(spec.policies)
 
     def test_expt2_contents(self):
         spec = preset_spec("expt2")
-        assert len(spec.arms) == 100
+        assert spec.env.n_arms == 100
         assert spec.horizon == 300000
-        kinds = {kind for kind, _, _ in spec.arms}
-        assert kinds == {"gaussian"}
+        assert spec.env.kind == "gaussian"
         env = spec.environment()
+        assert env is spec.env  # built once, when the spec was
         assert env.optimal_index == 99
         assert dict(spec.policies)["median-elim"] == {"epsilon": 0.1, "delta": 0.1}
 
     def test_expt3_randomized_variances_are_frozen(self):
         a = preset_spec("expt3")
         b = preset_spec("expt3")
-        assert a.arms == b.arms
-        middle = [v for _, _, v in a.arms[10:99]]
+        assert a == b
+        middle = a.env.variances[10:99].tolist()
         assert all(0.2 <= v <= 0.24 for v in middle)
         assert len(set(middle)) > 50  # actually randomized
 
     def test_expt4_variance_groups(self):
         spec = preset_spec("expt4")
-        variances = [v for _, _, v in spec.arms]
+        variances = spec.env.variances.tolist()
         assert all(0.0 <= v <= 0.05 for v in variances[:49])
         assert all(0.19 <= v <= 0.24 for v in variances[49:99])
         assert variances[99] == 0.25
@@ -88,7 +92,8 @@ class TestPresets:
     def test_env_seed_changes_draws(self):
         a = preset_spec("expt3", env_seed=1)
         b = preset_spec("expt3", env_seed=2)
-        assert a.arms != b.arms
+        assert a.env != b.env
+        assert a.env.means.tolist() == b.env.means.tolist()
 
     def test_overrides(self):
         spec = preset_spec("expt1", runs=3, horizon=500, master_seed=42)
@@ -103,17 +108,18 @@ class TestLoadConfig:
     def test_minimal_roundtrip(self, tmp_path):
         spec = load_config(_write(tmp_path, MINIMAL))
         assert spec.name == "tiny"
-        assert spec.arms == (("bernoulli", 0.2, None),) * 2 + (("bernoulli", 0.8, None),)
+        assert spec.env.kind == "bernoulli"
+        assert spec.env.means.tolist() == [0.2, 0.2, 0.8]
         assert spec.policies == (("ucb1", {}),)
 
     def test_repetition_syntax(self, tmp_path):
         text = MINIMAL.replace("0.2*2, 0.8", "0.1*3,0.9")
         spec = load_config(_write(tmp_path, text))
-        assert len(spec.arms) == 4
+        assert spec.env.means.tolist() == [0.1, 0.1, 0.1, 0.9]
 
     def test_gaussian_requires_variances(self, tmp_path):
         text = MINIMAL.replace("kind = bernoulli", "kind = gaussian")
-        with pytest.raises(ConfigValidationError, match="variances"):
+        with pytest.raises(ConfigValidationError, match=r"^\[environment\].*variances"):
             load_config(_write(tmp_path, text))
 
     def test_unknown_experiment_key(self, tmp_path):
@@ -161,7 +167,7 @@ rho = 0.5
 """
         spec = load_config(_write(tmp_path, text))
         assert spec.name == "mini1"
-        assert len(spec.arms) == 20
+        assert spec.env.n_arms == 20
         assert spec.horizon == 300
         assert [p for p, _ in spec.policies] == ["eucbv", "moss"]
 
@@ -316,6 +322,41 @@ class TestCli:
         assert main(["run", "--config", _write(tmp_path, text), "--out", str(out)]) == 3
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("environment", [
+        "kind = poisson\nmeans = 0.2, 0.8",
+        "means = 0.2, 0.8",
+        "kind = bernoulli\nmeans = 0.2, 0.8\nvariances = 0.16, 0.16",
+        "kind = gaussian\nmeans = 0.2, 0.8\nvariances = 0.25",
+        "kind = gaussian\nmeans = 0.2, 0.8\nvariances = 0.25, -0.25",
+        "kind = bernoulli\nmeans = 0.2, 1.5",
+        "kind = bernoulli\nmeans = 0.2",
+    ], ids=["unknown-kind", "missing-kind", "bernoulli-variances", "length-mismatch",
+            "negative-variance", "bernoulli-range", "one-arm"])
+    def test_environment_errors_exit_3(self, tmp_path, capsys, environment):
+        text = MINIMAL.replace("kind = bernoulli\nmeans = 0.2*2, 0.8", environment)
+        out = tmp_path / "out"
+        assert main(["run", "--config", _write(tmp_path, text), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: [environment] ")
+
+    @pytest.mark.parametrize("means,horizon,policy", [
+        ("1e308, -1e308", 20, "ucb1"),          # the gap itself overflows
+        ("1e307, 0", 200, "median-elim"),       # T * gap overflows
+        ("1e151, 0", 1000, "ucb1"),             # (T * gap)^2 is finite, 3 times it not
+    ], ids=["gap", "horizon-times-gap", "sum-of-squares"])
+    def test_regret_overflow_exits_3(self, tmp_path, capsys, means, horizon, policy):
+        # each mean is finite, but a regret or a stderr's sum of squares
+        # need not be; the first two configs used to write inf and nan
+        text = MINIMAL.replace("kind = bernoulli", "kind = gaussian").replace(
+            "means = 0.2*2, 0.8", f"means = {means}\nvariances = 1, 1").replace(
+            "horizon = 50", f"horizon = {horizon}").replace(
+            "runs = 2", "runs = 3").replace("[policy.ucb1]", f"[policy.{policy}]")
+        out = tmp_path / "out"
+        assert main(["run", "--config", _write(tmp_path, text), "--out", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_config_overrides_are_validated(self, tmp_path):
         path = _write(tmp_path, MINIMAL)
         for flag, value in (("--checkpoints", "0"), ("--runs", "0"), ("--horizon", "2")):
@@ -338,7 +379,7 @@ preset = expt3
 """
         # by T=600 the drawn variances change which arms ucbv pulls
         path = _write(tmp_path, text)
-        assert load_config(path, env_seed=1).arms == preset_spec("expt3", env_seed=1).arms
+        assert load_config(path, env_seed=1).env == preset_spec("expt3", env_seed=1).env
         summaries = []
         for seed in ("1", "2"):
             out = tmp_path / f"seed{seed}"
@@ -397,14 +438,23 @@ preset = expt1
         assert main(["bounds", "--K", "20", "--T", "100", "--delta", "-0.5"]) == 3
 
     @pytest.mark.parametrize("bad", [
-        ["--T", "0", "--delta", "0.1"],
-        ["--T", "100", "--delta", "inf"],
-        ["--T", "100", "--delta", "0.1", "--sigma-sq", "nan"],
-        ["--T", "100", "--delta", "0.1", "--sigma-sq", "-1"],
-    ], ids=["T-zero", "delta-inf", "sigma-sq-nan", "sigma-sq-negative"])
-    def test_bounds_invalid_input_is_validation_error(self, tmp_path, bad):
-        assert main(["bounds", "--K", "20", *bad, "--out", str(tmp_path)]) == 3
+        ["--K", "20", "--T", "0", "--delta", "0.1"],
+        ["--K", "20", "--T", "100", "--delta", "inf"],
+        ["--K", "20", "--T", "100", "--delta", "0.1", "--sigma-sq", "nan"],
+        ["--K", "20", "--T", "100", "--delta", "0.1", "--sigma-sq", "-1"],
+        # finite inputs whose bounds are not: gap**2 overflows, gap**2
+        # underflows to a divisor of 0, and inf * 0 gives nan
+        ["--K", "2", "--T", "100", "--delta", "1e200"],
+        ["--K", "2", "--T", "100", "--delta", "1e-200"],
+        ["--K", "2", "--T", "2", "--delta", "0.5", "--sigma-sq", "1e308"],
+    ], ids=["T-zero", "delta-inf", "sigma-sq-nan", "sigma-sq-negative",
+            "gap-squared-overflows", "gap-squared-underflows", "nan-bound"])
+    def test_bounds_invalid_input_is_validation_error(self, tmp_path, capsys, bad):
+        assert main(["bounds", *bad, "--out", str(tmp_path)]) == 3
         assert not (tmp_path / "bounds_table1.csv").exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_bounds_preset_mode(self, capsys):
         assert main(["bounds", "--preset", "expt1"]) == 0
@@ -500,3 +550,26 @@ from scipy import stats
 level = 1.0 - 1.0 / (10 * math.log(100))
 assert math.isclose(got, stats.beta(4.0, 3.0).ppf(level), rel_tol=1e-9), got
 """)
+
+
+class TestSetupProbe:
+    """The benchmark's set-up probe (perfbench/setup_probe.py, run as the
+    benchmark runs it) builds each workload's spec and environment."""
+
+    @pytest.mark.parametrize("workload", [
+        "expt1-bern-k20-par2", "expt3-gauss-k100-serial", "elim-gauss-k20-fullcurve",
+    ])
+    def test_probe_prints_one_json_line(self, tmp_path, monkeypatch, workload):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        work = importlib.import_module("workloads").WORKLOADS[workload]
+        work.write_inputs(tmp_path)
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "setup_probe.py"), str(SRC),
+             *work.probe_args(1, tmp_path)],
+            capture_output=True, text=True, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1, proc.stdout
+        record = json.loads(lines[0])
+        assert record["import_s"] >= 0.0 and record["config_s"] >= 0.0

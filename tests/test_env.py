@@ -1,4 +1,4 @@
-"""Arm models, environments, and reward sampling."""
+"""Environments, their arm checks, and reward sampling."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from eucbv.env import ArmModel, make_environment, reward_noise, sample_rewards_batch
+from eucbv.env import make_environment, reward_noise, sample_rewards_batch
 from eucbv.rng import StreamBatch, derive_key
 from oracles import RngStream
 
@@ -27,83 +27,122 @@ def _draws(env, arm, streams, n):
     return np.array([_step(env, arms, streams) for _ in range(n)])
 
 
-class TestArmModel:
+class TestArmValidation:
+    """Every per-arm check make_environment makes."""
+
     def test_bernoulli_variance_is_derived(self):
-        arm = ArmModel.bernoulli(0.1)
-        assert arm.variance == 0.1 * 0.9
+        env = make_environment("bernoulli", [0.1, 0.5, 0.07])
+        assert env.variances[0] == 0.1 * 0.9
+        # the same float ops as a scalar m*(1-m), arm by arm
+        assert env.variances.tolist() == [m * (1.0 - m) for m in (0.1, 0.5, 0.07)]
 
     def test_bernoulli_mean_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            ArmModel.bernoulli(1.2)
-        with pytest.raises(ValueError):
-            ArmModel.bernoulli(-0.1)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            make_environment("bernoulli", [0.5, 1.2])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            make_environment("bernoulli", [-0.1, 0.5])
+        assert make_environment("bernoulli", [0.0, 1.0]).n_arms == 2
 
     def test_bernoulli_inconsistent_variance_rejected(self):
-        with pytest.raises(ValueError):
-            ArmModel("bernoulli", 0.5, 0.3)
+        # a Bernoulli arm's variance is derived, so none may be given, not
+        # even the consistent one
+        with pytest.raises(ValueError, match="derive"):
+            make_environment("bernoulli", [0.5, 0.5], [0.3, 0.3])
+        with pytest.raises(ValueError, match="derive"):
+            make_environment("bernoulli", [0.5, 0.5], [0.25, 0.25])
 
     def test_gaussian_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            ArmModel.gaussian(0.5, -0.01)
+        with pytest.raises(ValueError, match=">= 0"):
+            make_environment("gaussian", [0.5, 0.1], [0.25, -0.01])
+        assert make_environment("gaussian", [0.5, 0.1], [0.0, 0.0]).n_arms == 2
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ArmModel("poisson", 1.0, 1.0)
+        for kind in ("poisson", None, "Bernoulli"):
+            with pytest.raises(ValueError, match="kind"):
+                make_environment(kind, [1.0, 0.5], [1.0, 1.0])
 
     @pytest.mark.parametrize("mean,variance", [
         (math.nan, 0.25), (0.1, math.inf), (-math.inf, 0.25), (0.1, math.nan),
     ])
     def test_non_finite_rejected(self, mean, variance):
         with pytest.raises(ValueError, match="finite"):
-            ArmModel.gaussian(mean, variance)
+            make_environment("gaussian", [mean, 0.2], [variance, 0.25])
         if not math.isfinite(mean):
             with pytest.raises(ValueError):
-                ArmModel.bernoulli(mean)
+                make_environment("bernoulli", [mean, 0.2])
 
 
 class TestMakeEnvironment:
     def test_expt1_gaps(self):
-        env = make_environment([("bernoulli", 0.07)] * 19 + [("bernoulli", 0.1)])
+        env = make_environment("bernoulli", [0.07] * 19 + [0.1])
+        assert env.n_arms == 20
         assert env.optimal_index == 19
         assert np.allclose(env.gaps[:19], 0.03)
         assert env.gaps[19] == 0.0
 
     def test_tie_broken_to_lowest_index(self):
-        env = make_environment([("bernoulli", 0.5), ("bernoulli", 0.5)])
+        env = make_environment("bernoulli", [0.5, 0.5])
         assert env.optimal_index == 0
         assert env.gaps.tolist() == [0.0, 0.0]
 
     def test_expt2_gap_range(self):
         means = [0.07] * 66 + [0.01] * 33 + [0.09]
         variances = [0.01] * 66 + [0.25] * 33 + [0.25]
-        env = make_environment([("gaussian", m, v) for m, v in zip(means, variances)])
+        env = make_environment("gaussian", means, variances)
         positive = env.gaps[env.gaps > 0]
         assert np.isclose(positive.max(), 0.08)
         assert np.isclose(positive.min(), 0.02)
         assert env.optimal_index == 99
 
     def test_single_arm_rejected(self):
-        with pytest.raises(ValueError):
-            make_environment([("bernoulli", 0.5)])
+        with pytest.raises(ValueError, match="at least 2"):
+            make_environment("bernoulli", [0.5])
+        with pytest.raises(ValueError, match="at least 2"):
+            make_environment("gaussian", [], [])
 
     def test_gaussian_requires_variance(self):
-        with pytest.raises(ValueError):
-            make_environment([("gaussian", 0.5), ("gaussian", 0.6)])
+        with pytest.raises(ValueError, match="variances"):
+            make_environment("gaussian", [0.5, 0.6])
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            make_environment("gaussian", [0.5, 0.6], [0.25])
+        with pytest.raises(ValueError, match="differ in length"):
+            make_environment("gaussian", [0.5, 0.6], [0.25] * 3)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            make_environment([("gaussian", math.nan, 0.25), ("gaussian", 0.1, 0.25)])
+            make_environment("gaussian", [math.nan, 0.1], [0.25, 0.25])
         with pytest.raises(ValueError):
-            make_environment([("gaussian", 0.5, 0.25), ("gaussian", 0.1, math.inf)])
+            make_environment("gaussian", [0.5, 0.1], [0.25, math.inf])
+
+    def test_overflowing_gap_rejected(self):
+        # each mean is finite, but 1e308 - (-1e308) is not
+        with pytest.raises(ValueError, match="overflows"):
+            make_environment("gaussian", [1e308, -1e308], [1.0, 1.0])
+        assert make_environment("gaussian", [1e307, 0.0], [1.0, 1.0]).gaps[1] == 1e307
+
+    def test_equality_is_by_value(self):
+        env = make_environment("gaussian", [0.5, 0.1], [0.25, 0.04])
+        assert env == make_environment("gaussian", (0.5, 0.1), np.array([0.25, 0.04]))
+        assert env != make_environment("gaussian", [0.5, 0.1], [0.25, 0.05])
+        assert make_environment("bernoulli", [0.5, 0.1]) != \
+            make_environment("gaussian", [0.5, 0.1], [0.25, 0.09])
 
     def test_kind_is_recorded(self):
-        assert make_environment([("bernoulli", 0.2)] * 2).kind == "bernoulli"
-        assert make_environment([("gaussian", 0.2, 1.0)] * 2).kind == "gaussian"
+        assert make_environment("bernoulli", [0.2] * 2).kind == "bernoulli"
+        assert make_environment("gaussian", [0.2] * 2, [1.0] * 2).kind == "gaussian"
+
+    def test_inputs_are_copied(self):
+        means = np.array([0.2, 0.8])
+        env = make_environment("bernoulli", means)
+        means[0] = 0.9
+        assert env.means.tolist() == [0.2, 0.8] and env.optimal_index == 1
 
 
 class TestSampleReward:
     def test_degenerate_bernoulli(self):
-        env = make_environment([("bernoulli", 1.0), ("bernoulli", 0.0)])
+        env = make_environment("bernoulli", [1.0, 0.0])
         lane = _lane(1)
         assert (_draws(env, 0, lane, 50) == 1.0).all()
         assert (_draws(env, 1, lane, 50) == 0.0).all()
@@ -114,7 +153,7 @@ class TestSampleReward:
         mean = np.mean(_lane(2024).uniform_block(n)[0] < 0.1)
         assert abs(mean - 0.1) < 1e-3
         # and through the batched sampler on a smaller sample
-        env = make_environment([("bernoulli", 0.1), ("bernoulli", 0.5)])
+        env = make_environment("bernoulli", [0.1, 0.5])
         small = _draws(env, 0, _lane(2024, 1), 20_000).mean()
         assert abs(small - 0.1) < 0.01
 
@@ -128,23 +167,23 @@ class TestSampleReward:
         assert ok >= int(0.99 * trials)
 
     def test_gaussian_moments(self):
-        env = make_environment([("gaussian", 0.5, 0.04), ("gaussian", 0.0, 1.0)])
+        env = make_environment("gaussian", [0.5, 0.0], [0.04, 1.0])
         xs = _draws(env, 0, StreamBatch.for_runs(3, range(1000)), 100).ravel()
         assert abs(xs.mean() - 0.5) < 0.01
         assert abs(xs.var() - 0.04) / 0.04 < 0.05  # 5% relative error
 
     def test_gaussian_not_clipped(self):
-        env = make_environment([("gaussian", 0.5, 1.0), ("gaussian", 0.0, 1.0)])
+        env = make_environment("gaussian", [0.5, 0.0], [1.0, 1.0])
         xs = _draws(env, 0, _lane(4), 2000)
         assert xs.min() < 0.0 and xs.max() > 1.0
 
     def test_fixed_draw_counts(self):
         lane = _lane(5)
-        _step(make_environment([("bernoulli", 0.5)] * 2), np.array([0]), lane)
+        _step(make_environment("bernoulli", [0.5] * 2), np.array([0]), lane)
         assert lane.counters.tolist() == [1]
-        _step(make_environment([("gaussian", 0.0, 1.0)] * 2), np.array([0]), lane)
+        _step(make_environment("gaussian", [0.0] * 2, [1.0] * 2), np.array([0]), lane)
         assert lane.counters.tolist() == [3]  # exactly two more draws
-        reward_noise(make_environment([("gaussian", 0.0, 1.0)] * 2), lane, 4)
+        reward_noise(make_environment("gaussian", [0.0] * 2, [1.0] * 2), lane, 4)
         assert lane.counters.tolist() == [11]  # two per Gaussian step
 
 
@@ -168,7 +207,7 @@ class TestBatchSampling:
     """Each lane's reward is a pure function of that lane's own stream."""
 
     def test_batch_bernoulli_matches_scalar(self):
-        env = make_environment([("bernoulli", 0.3), ("bernoulli", 0.7)])
+        env = make_environment("bernoulli", [0.3, 0.7])
         arms = np.array([0, 1, 1, 0])
         batch = StreamBatch(np.array([derive_key(6, k) for k in range(4)], dtype=np.uint64))
         got = _step(env, arms, batch)
@@ -177,7 +216,7 @@ class TestBatchSampling:
         assert got.tolist() == want
 
     def test_batch_gaussian_matches_scalar(self):
-        env = make_environment([("gaussian", 0.0, 1.0), ("gaussian", 1.0, 0.25)])
+        env = make_environment("gaussian", [0.0, 1.0], [1.0, 0.25])
         arms = np.array([1, 0, 1])
         batch = StreamBatch(np.array([derive_key(8, k) for k in range(3)], dtype=np.uint64))
         got = _step(env, arms, batch)
@@ -189,6 +228,6 @@ class TestBatchSampling:
         assert np.array_equal(got, np.array(want))
 
     def test_mixed_kind_environment(self):
-        # one kind per environment: no config can build a mixed one
-        with pytest.raises(ValueError, match="one arm kind"):
-            make_environment([("bernoulli", 0.5), ("gaussian", 0.5, 0.01)])
+        # one kind per environment: a kind per arm is not a kind
+        with pytest.raises(ValueError, match="kind"):
+            make_environment(["bernoulli", "gaussian"], [0.5, 0.5], [0.25, 0.01])

@@ -237,7 +237,7 @@ class TestCachedIndices:
 
     @pytest.mark.parametrize("pid", ["eucbv", "moss", "ocucb", "ts-gauss"])
     def test_choice_is_argmax_of_fresh_index(self, pid):
-        env = make_environment([("gaussian", m, 0.04) for m in (0.1, 0.3, 0.5, 0.55, 0.9)])
+        env = make_environment("gaussian", [0.1, 0.3, 0.5, 0.55, 0.9], [0.04] * 5)
         horizon, lanes = 2000, 3
         rng = StreamBatch.for_runs(1, range(lanes), DOMAIN_POLICY)
         policy = make_batch_policy(pid, lanes, env.n_arms, horizon, rng=rng)

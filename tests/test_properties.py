@@ -184,7 +184,7 @@ def test_select_scale_free_in_means(eighths, shift):
 def _random_bernoulli_env(rnd):
     k = rnd.randint(2, 5)
     means = [rnd.randint(0, 100) / 100.0 for _ in range(k)]
-    return make_environment([("bernoulli", m) for m in means])
+    return make_environment("bernoulli", means)
 
 
 @_SETTINGS
@@ -265,7 +265,7 @@ def test_confidence_radius_monotonicity(v_hat, pulls, log_term, rho):
 @_SETTINGS
 @given(st.integers(min_value=0, max_value=2 ** 32), st.floats(min_value=0, max_value=1))
 def test_bernoulli_reward_support(seed, p):
-    env = make_environment([("bernoulli", p), ("bernoulli", 0.5)])
+    env = make_environment("bernoulli", [p, 0.5])
     lane = StreamBatch(np.array([derive_key(seed, 0)], dtype=np.uint64))
     noise = reward_noise(env, lane, 1)[:, 0]
     assert sample_rewards_batch(env, np.array([0]), noise)[0] in (0.0, 1.0)

@@ -225,7 +225,7 @@ def test_scalar_normal_consumes_two_draws_and_matches_batch():
 
 
 def test_bernoulli_consumes_one_draw():
-    env = make_environment([("bernoulli", 0.4), ("bernoulli", 0.6)])
+    env = make_environment("bernoulli", [0.4, 0.6])
     batch = StreamBatch(np.array([derive_key(13, 1)], dtype=np.uint64))
     reward_noise(env, batch, 1)
     assert int(batch.counters[0]) == 1

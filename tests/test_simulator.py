@@ -43,11 +43,11 @@ class _RoundRobinPolicy(BatchPolicy):
 
 
 def _expt1_env():
-    return make_environment([("bernoulli", 0.07)] * 19 + [("bernoulli", 0.1)])
+    return make_environment("bernoulli", [0.07] * 19 + [0.1])
 
 
 def _gauss_env():
-    return make_environment([("gaussian", 0.5, 0.25)] * 19 + [("gaussian", 1.0, 0.25)])
+    return make_environment("gaussian", [0.5] * 19 + [1.0], [0.25] * 20)
 
 
 def _policy(pid, lanes, n_arms, horizon, seed, params=None):
