@@ -1,6 +1,8 @@
 """Regret-bound calculators and numerical lemma verifiers.
 
-The gap-dependent bound evaluated here is
+The calculators take an ``Environment`` and a horizon ``(env, horizon)`` and
+read the arms' gaps and variances from it; ``make_environment`` has already
+checked them.  The gap-dependent bound evaluated here is
 
     sum_{gap_i > b} [ C0*K^4/T^(1/4) + gap_i + 320*var_i*ln(T*gap_i^2/K)/gap_i ]
     + sum_{0 < gap_i <= b} C2*K^4/T^(1/4)
@@ -8,8 +10,10 @@ The gap-dependent bound evaluated here is
 
 valid for thresholds b >= sqrt(e/T); the gap-independent form is
 C3*K^5/T^(1/4) + 80*sqrt(K*T).  C0, C2, C3 are unspecified integer constants
-in the source analysis, so callers supply them (default 1) and outputs are
-"up to unspecified constants".  Logs clamp at 0 when their argument <= 1.
+in the source analysis: C0 and C2 are fixed at 1, C3 is a keyword (default
+1), and outputs are "up to unspecified constants".  Logs clamp at 0 when
+their argument <= 1.  The arithmetic runs on Python floats, so an overflow
+raises ``OverflowError`` instead of turning into inf.
 
 The lemma verifiers evaluate the analysis' deterministic inequalities over
 parameter grids and report violations instead of assuming them; the
@@ -20,7 +24,7 @@ Carlo and compares it against the stated bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,55 +39,9 @@ def _clamped_log(x: float) -> float:
     return math.log(x) if x > 1.0 else 0.0
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Instance description consumed by the bound calculators.
-
-    ``hardness_per_arm`` is H_i = sum over suboptimal arms j of
-    min(1/gap_i^2, 1/gap_j^2); ``hardness`` is H_1 = sum 1/gap_i^2 (both over
-    positive gaps only).
-    """
-
-    n_arms: int
-    horizon: int
-    gaps: tuple
-    variances: tuple
-    b: float
-    sigma_max_sq: float = field(init=False)
-    hardness: float = field(init=False)
-    hardness_per_arm: tuple = field(init=False)
-
-    def __post_init__(self):
-        if self.n_arms < 2:
-            raise ValueError("need at least 2 arms")
-        if len(self.gaps) != self.n_arms or len(self.variances) != self.n_arms:
-            raise ValueError("gaps and variances must have one entry per arm")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not all(math.isfinite(g) and g >= 0 for g in self.gaps):
-            raise ValueError("gaps must be finite and >= 0")
-        if not all(math.isfinite(v) and v >= 0 for v in self.variances):
-            raise ValueError("variances must be finite and >= 0")
-        floor = math.sqrt(math.e / self.horizon)
-        if self.b < floor * (1.0 - 1e-12):
-            raise ValueError(
-                f"threshold b={self.b} violates the validity range b >= sqrt(e/T) = {floor}"
-            )
-        object.__setattr__(self, "sigma_max_sq", max(self.variances))
-        pos = [g for g in self.gaps if g > 0.0]
-        object.__setattr__(self, "hardness", sum(1.0 / g ** 2 for g in pos))
-        per_arm = tuple(
-            sum(min(1.0 / g ** 2, 1.0 / h ** 2) for h in pos) if g > 0.0 else 0.0
-            for g in self.gaps
-        )
-        object.__setattr__(self, "hardness_per_arm", per_arm)
-
-    @classmethod
-    def from_environment(cls, env: Environment, horizon: int,
-                         b: float | None = None) -> "BoundInputs":
-        if b is None:
-            b = math.sqrt(math.e / horizon)
-        return cls(env.n_arms, horizon, tuple(env.gaps), tuple(env.variances), b)
+def _check_horizon(horizon: int) -> None:
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
 
 
 def eucbv_dominant_term(gap: float, variance: float, n_arms: int, horizon: int) -> float:
@@ -93,43 +51,53 @@ def eucbv_dominant_term(gap: float, variance: float, n_arms: int, horizon: int) 
     return 320.0 * variance * _clamped_log(horizon * gap * gap / n_arms) / gap
 
 
-def eucbv_gap_dependent_bound(inputs: BoundInputs, c0: float = 1.0, c2: float = 1.0) -> float:
-    """Evaluate the gap-dependent regret bound (up to the supplied constants)."""
-    k4 = inputs.n_arms ** 4 / inputs.horizon ** 0.25
+def eucbv_gap_dependent_bound(env: Environment, horizon: int, b: float | None = None) -> float:
+    """Evaluate the gap-dependent regret bound (C0 = C2 = 1) at threshold
+    ``b``, by default its least valid value sqrt(e/T)."""
+    _check_horizon(horizon)
+    floor = math.sqrt(math.e / horizon)
+    if b is None:
+        b = floor
+    elif b < floor * (1.0 - 1e-12):
+        raise ValueError(f"threshold b={b} violates the validity range b >= sqrt(e/T) = {floor}")
+    K = env.n_arms
+    k4 = K ** 4 / horizon ** 0.25
+    gaps = env.gaps.tolist()
     total = 0.0
-    small = [g for g in inputs.gaps if 0.0 < g <= inputs.b]
-    for gap, var in zip(inputs.gaps, inputs.variances):
-        if gap > inputs.b:
-            total += c0 * k4 + gap + eucbv_dominant_term(gap, var, inputs.n_arms, inputs.horizon)
-    total += len(small) * c2 * k4
+    for gap, var in zip(gaps, env.variances.tolist()):
+        if gap > b:
+            total += k4 + gap + eucbv_dominant_term(gap, var, K, horizon)
+    small = [g for g in gaps if 0.0 < g <= b]
+    total += len(small) * k4
     if small:
-        total += max(small) * inputs.horizon
+        total += max(small) * horizon
     return total
 
 
 def gap_independent_bound(n_arms: int, horizon: int, c3: float = 1.0) -> float:
     """C3*K^5/T^(1/4) + 80*sqrt(K*T)."""
-    if n_arms < 2 or horizon < 1:
-        raise ValueError("need K >= 2 and T >= 1")
+    _check_horizon(horizon)
     return c3 * n_arms ** 5 / horizon ** 0.25 + 80.0 * math.sqrt(n_arms * horizon)
 
 
-def table1_bounds(inputs: BoundInputs) -> list:
+def table1_bounds(env: Environment, horizon: int) -> list:
     """Comparison-table rows: (algorithm, gap_dependent, gap_independent).
 
     Evaluates each algorithm's bound functional form with every unspecified
     constant set to 1; Delta is the minimal positive gap.
     """
-    K, T = inputs.n_arms, inputs.horizon
-    pos = [g for g in inputs.gaps if g > 0.0]
+    _check_horizon(horizon)
+    K, T = env.n_arms, horizon
+    pos = [g for g in env.gaps.tolist() if g > 0.0]
     if not pos:
         raise ValueError("need at least one suboptimal arm")
     delta = min(pos)
-    smax = inputs.sigma_max_sq
+    smax = max(env.variances.tolist())
+    # OCUCB: ln(T/H_i)/gap_i with H_i = sum_j min(1/gap_i^2, 1/gap_j^2) over
+    # the suboptimal arms j
     ocucb_dep = sum(
-        _clamped_log(T / h) / g
-        for g, h in zip(inputs.gaps, inputs.hardness_per_arm)
-        if g > 0.0
+        _clamped_log(T / sum(min(1.0 / g ** 2, 1.0 / h ** 2) for h in pos)) / g
+        for g in pos
     )
     return [
         ("eucbv", K * smax * _clamped_log(T * delta ** 2 / K) / delta, math.sqrt(K * T)),
@@ -162,6 +130,27 @@ class GridReport:
         return not self.violations
 
 
+def _report(name: str, cases) -> GridReport:
+    """Sweep ``cases`` into a report.  A case is None for a point out of
+    regime, else (point, lhs - rhs, violation or None); the worst point is
+    the first one of largest margin."""
+    points = skipped = 0
+    violations = []
+    worst = -math.inf
+    worst_point = ()
+    for case in cases:
+        if case is None:
+            skipped += 1
+            continue
+        point, margin, violation = case
+        points += 1
+        if margin > worst:
+            worst, worst_point = margin, point
+        if violation is not None:
+            violations.append(violation)
+    return GridReport(name, points, skipped, tuple(violations), worst, worst_point)
+
+
 def default_k_grid() -> tuple:
     return (2, 4, 8, 16, 32, 64)
 
@@ -187,29 +176,17 @@ def lemma1_ratio(n_arms: int, horizon: int, m: int, rho: float = 0.5) -> float:
 def verify_lemma1(ks=None, t_max: int = 10 ** 7, t_points: int = 25) -> GridReport:
     """Check rho*m*ln2/(ln(psi T) - 2m ln2) <= 3/2 over the admissible grid.
 
-    Admissible: T >= K^2.4, psi = T/K^2, rho = 1/2, 0 <= m <= log2(T/e)/2.
-    Out-of-regime grid points are skipped and counted.
+    Admissible: T >= K^2.4, psi = T/K^2, rho = 1/2, 0 <= m <= log2(T/e)/2;
+    the horizon grid starts at ceil(K^2.4), so every point is in regime.
     """
-    ks = ks or default_k_grid()
-    points = skipped = 0
-    violations = []
-    worst = -math.inf
-    worst_point = ()
-    for k in ks:
-        for t in default_t_grid(k, t_max, t_points):
-            if t < k ** 2.4:
-                skipped += 1
-                continue
-            m_cap = round_cap(t)
-            for m in range(m_cap + 1):
-                ratio = lemma1_ratio(k, t, m)
-                points += 1
-                margin = ratio - 1.5
-                if margin > worst:
-                    worst, worst_point = margin, (k, t, m)
-                if ratio > 1.5:
-                    violations.append((k, t, m, ratio))
-    return GridReport("lemma1", points, skipped, tuple(violations), worst, worst_point)
+    def cases():
+        for k in ks or default_k_grid():
+            for t in default_t_grid(k, t_max, t_points):
+                for m in range(round_cap(t) + 1):
+                    ratio = lemma1_ratio(k, t, m)
+                    yield (k, t, m), ratio - 1.5, (k, t, m, ratio) if ratio > 1.5 else None
+
+    return _report("lemma1", cases())
 
 
 def elimination_round(gap: float) -> int:
@@ -222,52 +199,39 @@ def elimination_round(gap: float) -> int:
     return m
 
 
-def verify_lemma2(ks=None, t_max: int = 10 ** 7, t_points: int = 25,
-                  deltas=None) -> GridReport:
+def verify_lemma2(ks=None, t_max: int = 10 ** 7, t_points: int = 25) -> GridReport:
     """Check the confidence radius at round m_i stays below gap/4.
 
     At m_i = min{m : sqrt(4 eps_m) < gap/4}, with z = n_{m_i} =
     ln(psi T eps^2)/(2 eps) (the un-ceiled quota from the analysis) and the
     estimated variance at its maximum 1, verifies
 
-        sqrt(rho * 3 * ln(psi T eps) / (4 n_{m_i})) < gap / 4.
+        sqrt(rho * 3 * ln(psi T eps) / (4 n_{m_i})) < gap / 4
 
-    Points whose m_i exceeds the round cap M are out of regime and skipped.
+    for 20 log-spaced gaps in [0.01, 1].  Points whose m_i exceeds the round
+    cap M, or whose quota is 0, are out of regime and skipped.
     """
-    ks = ks or default_k_grid()
-    deltas = deltas if deltas is not None else tuple(
-        float(d) for d in np.geomspace(0.01, 1.0, 20)
-    )
+    gaps = tuple(float(d) for d in np.geomspace(0.01, 1.0, 20))
     rho = 0.5
-    points = skipped = 0
-    violations = []
-    worst = -math.inf
-    worst_point = ()
-    for k in ks:
-        for t in default_t_grid(k, t_max, t_points):
-            if t < k ** 2.4:
-                skipped += 1
-                continue
-            psi = t / (k * k)
-            m_cap = round_cap(t)
-            for gap in deltas:
-                m_i = elimination_round(gap)
-                if m_i > m_cap:
-                    skipped += 1
-                    continue
-                eps = 2.0 ** -m_i
-                quota = _clamped_log(psi * t * eps * eps) / (2.0 * eps)
-                if quota <= 0.0:
-                    skipped += 1
-                    continue
-                radius = float(confidence_radius(1.0, quota, _clamped_log(psi * t * eps), rho))
-                points += 1
-                margin = radius - gap / 4.0
-                if margin > worst:
-                    worst, worst_point = margin, (k, t, gap)
-                if not radius < gap / 4.0:
-                    violations.append((k, t, gap, radius))
-    return GridReport("lemma2", points, skipped, tuple(violations), worst, worst_point)
+
+    def cases():
+        for k in ks or default_k_grid():
+            for t in default_t_grid(k, t_max, t_points):
+                psi = t / (k * k)
+                m_cap = round_cap(t)
+                for gap in gaps:
+                    m_i = elimination_round(gap)
+                    eps = 2.0 ** -m_i
+                    quota = _clamped_log(psi * t * eps * eps) / (2.0 * eps)
+                    if m_i > m_cap or quota <= 0.0:
+                        yield None
+                        continue
+                    radius = float(confidence_radius(
+                        1.0, quota, _clamped_log(psi * t * eps), rho))
+                    violation = None if radius < gap / 4.0 else (k, t, gap, radius)
+                    yield (k, t, gap), radius - gap / 4.0, violation
+
+    return _report("lemma2", cases())
 
 
 def verify_lemma6(c_pairs=None, sigmas=None) -> GridReport:
@@ -280,25 +244,19 @@ def verify_lemma6(c_pairs=None, sigmas=None) -> GridReport:
     """
     c_pairs = c_pairs or ((1, 20), (1, 40), (2, 40), (3, 60))
     sigmas = sigmas if sigmas is not None else (0.0, 0.05, 0.1, 0.15, 0.2, 0.24, 0.25)
-    points = 0
-    violations = []
-    worst = -math.inf
-    worst_point = ()
-    for c1, c2 in c_pairs:
-        if not 20 * c1 <= c2:
-            raise ValueError(f"pair ({c1}, {c2}) violates the premise 20*c1 <= c2")
-        for s in sigmas:
-            if not 0.0 <= s <= 0.25:
-                raise ValueError("sigma^2 must lie in [0, 1/4] for bounded rewards")
-            lhs = c1 * (4.0 * s + 4.0)
-            rhs = c2 * s
-            points += 1
-            margin = lhs - rhs
-            if margin > worst:
-                worst, worst_point = margin, (c1, c2, s)
-            if lhs > rhs:
-                violations.append((c1, c2, s, lhs, rhs))
-    return GridReport("lemma6", points, 0, tuple(violations), worst, worst_point)
+
+    def cases():
+        for c1, c2 in c_pairs:
+            if not 20 * c1 <= c2:
+                raise ValueError(f"pair ({c1}, {c2}) violates the premise 20*c1 <= c2")
+            for s in sigmas:
+                if not 0.0 <= s <= 0.25:
+                    raise ValueError("sigma^2 must lie in [0, 1/4] for bounded rewards")
+                lhs = c1 * (4.0 * s + 4.0)
+                rhs = c2 * s
+                yield (c1, c2, s), lhs - rhs, (c1, c2, s, lhs, rhs) if lhs > rhs else None
+
+    return _report("lemma6", cases())
 
 
 # ---------------------------------------------------------------------------

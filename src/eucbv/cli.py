@@ -39,6 +39,7 @@ from .config import (
     preset_spec,
     preset_testbed,
 )
+from .env import GAUSSIAN, make_environment
 from .rng import StreamBatch
 from .simulator import run_many
 
@@ -115,27 +116,26 @@ def cmd_bounds(n_arms: int, horizon: int, delta: float | None, preset: str | Non
     try:
         if preset is not None:
             env, horizon = preset_testbed(preset)
-            n_arms = env.n_arms
-            inputs = bounds_mod.BoundInputs.from_environment(env, horizon)
         else:
             if horizon < 1:
                 raise ConfigValidationError("--T must be >= 1")
+            # a negative delta would make another arm the best one
             if not 0.0 < delta < math.inf:
                 raise ConfigValidationError("--delta must be positive and finite")
             var = 0.25 if sigma_sq is None else sigma_sq
-            gaps = (0.0,) + (delta,) * (n_arms - 1)
-            inputs = bounds_mod.BoundInputs(n_arms, horizon, gaps, (var,) * n_arms,
-                                            math.sqrt(math.e / horizon))
-        rows = bounds_mod.table1_bounds(inputs)
-        theorem_value = bounds_mod.eucbv_gap_dependent_bound(inputs)
-        corollary_value = bounds_mod.gap_independent_bound(n_arms, horizon)
+            # arm 0 is best, every other arm sits exactly delta below it
+            means = [0.0 if i == 0 else -delta for i in range(n_arms)]
+            env = make_environment(GAUSSIAN, means, [var] * n_arms)
+        rows = bounds_mod.table1_bounds(env, horizon)
+        theorem_value = bounds_mod.eucbv_gap_dependent_bound(env, horizon)
+        corollary_value = bounds_mod.gap_independent_bound(env.n_arms, horizon)
         values = [v for _, dep, indep in rows for v in (dep, indep)]
         if not all(map(math.isfinite, values + [theorem_value, corollary_value])):
             raise ArithmeticError
     except ArithmeticError as exc:
         raise ConfigValidationError("the bounds are not finite for these inputs") from exc
 
-    print(f"bounds for K={n_arms}, T={horizon} (all unspecified constants = 1)")
+    print(f"bounds for K={env.n_arms}, T={horizon} (all unspecified constants = 1)")
     print(f"{'algorithm':<14}{'gap_dependent':>16}{'gap_independent':>18}")
     for name, dep, indep in rows:
         print(f"{name:<14}{_fmt(dep):>16}{_fmt(indep):>18}")

@@ -21,8 +21,6 @@ from ..stats import PullStats
 class BatchPolicy:
     """Base for lockstep-batched policies (one lane per replication)."""
 
-    policy_id = "?"
-
     def __init__(self, n_runs: int, n_arms: int, horizon: int, rng=None):
         if n_arms < 2:
             raise ValueError("policies need at least 2 arms")

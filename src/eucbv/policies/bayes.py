@@ -58,8 +58,6 @@ def bayes_ucb_index(reward_sum, pulls, t, horizon, prior="beta"):
 
 
 class TsBetaPolicy(BatchPolicy):
-    policy_id = "ts-beta"
-
     def __init__(self, n_runs, n_arms, horizon, rng=None):
         super().__init__(n_runs, n_arms, horizon, rng)
         if rng is None:
@@ -82,8 +80,6 @@ class TsBetaPolicy(BatchPolicy):
 
 
 class TsGaussPolicy(BatchPolicy):
-    policy_id = "ts-gauss"
-
     def __init__(self, n_runs, n_arms, horizon, rng=None):
         super().__init__(n_runs, n_arms, horizon, rng)
         if rng is None:
@@ -106,8 +102,6 @@ class TsGaussPolicy(BatchPolicy):
 
 
 class BayesUcbPolicy(BatchPolicy):
-    policy_id = "bayes-ucb"
-
     def __init__(self, n_runs, n_arms, horizon, rng=None, prior: str = "beta"):
         super().__init__(n_runs, n_arms, horizon, rng)
         if prior not in ("beta", "gauss"):

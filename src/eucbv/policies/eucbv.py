@@ -76,8 +76,6 @@ class EucbvPolicy(BatchPolicy):
     rho/psi; warns when T < K**2.4, where the gap-dependent guarantee lapses.
     """
 
-    policy_id = "eucbv"
-
     def __init__(self, n_runs: int, n_arms: int, horizon: int, rng=None,
                  rho: float = 0.5, psi: float | None = None,
                  radius_eps_power: int = 2):

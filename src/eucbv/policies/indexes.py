@@ -41,16 +41,12 @@ def ocucb_index(mean, pulls, horizon, alpha=3.0, psi=2.0):
 
 
 class Ucb1Policy(BatchPolicy):
-    policy_id = "ucb1"
-
     def _select(self, t):
         scores = ucb1_index(self.stats.means(), self.stats.counts, t)
         return np.argmax(scores, axis=1)
 
 
 class UcbvPolicy(BatchPolicy):
-    policy_id = "ucbv"
-
     def _select(self, t):
         means = self.stats.means()
         scores = ucbv_index(means, self.stats.variances(means), self.stats.counts, t)
@@ -80,15 +76,11 @@ class _CellIndexPolicy(BatchPolicy):
 
 
 class MossPolicy(_CellIndexPolicy):
-    policy_id = "moss"
-
     def _cell_index(self, mean, pulls):
         return moss_index(mean, pulls, self.horizon, self.n_arms)
 
 
 class OcucbPolicy(_CellIndexPolicy):
-    policy_id = "ocucb"
-
     def __init__(self, n_runs, n_arms, horizon, rng=None, alpha=3.0, psi=2.0):
         super().__init__(n_runs, n_arms, horizon, rng)
         if alpha <= 0.0 or psi <= 0.0:

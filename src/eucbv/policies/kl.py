@@ -182,7 +182,5 @@ def klucb_argmax(mean, pulls, t) -> np.ndarray:
 
 
 class KlUcbPlusPolicy(BatchPolicy):
-    policy_id = "klucb-plus"
-
     def _select(self, t):
         return klucb_argmax(self.stats.means(), self.stats.counts, t)

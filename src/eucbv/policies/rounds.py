@@ -37,8 +37,6 @@ class DmedBatchPolicy(BatchPolicy):
     exhausted queue rebuilds from the divergence condition at the current t.
     """
 
-    policy_id = "dmed"
-
     def __init__(self, n_runs, n_arms, horizon, rng=None):
         super().__init__(n_runs, n_arms, horizon, rng)
         self._mask = np.zeros((n_runs, n_arms), dtype=bool)
@@ -130,16 +128,15 @@ class UcbImprovedPolicy(_SweepPolicy):
     (or on a singleton) it keeps cycling the surviving arms.
     """
 
-    policy_id = "ucb-improved"
-
     def __init__(self, n_runs, n_arms, horizon, rng=None):
         max_rounds = round_cap(horizon)
         quotas, widths = [], []
         d = 1.0
         for _ in range(max(max_rounds, 0) + 1):
-            quota = max(1, math.ceil(2.0 * max(math.log(horizon * d * d), 0.0) / (d * d)))
+            log_term = max(math.log(horizon * d * d), 0.0)
+            quota = max(1, math.ceil(2.0 * log_term / (d * d)))
             quotas.append(quota)
-            widths.append(math.sqrt(max(math.log(horizon * d ** 2), 0.0) / (2.0 * quota)))
+            widths.append(math.sqrt(log_term / (2.0 * quota)))
             d *= 0.5
         super().__init__(n_runs, n_arms, horizon, rng, quotas)
         self._max_rounds = max_rounds
@@ -173,8 +170,6 @@ class MedianElimPolicy(_SweepPolicy):
     round's median mean, then sets eps_{l+1} = 3/4 eps_l, delta_{l+1} =
     delta_l / 2.  The t <= K initialization pulls seed round 1's counts.
     """
-
-    policy_id = "median-elim"
 
     def __init__(self, n_runs, n_arms, horizon, rng=None,
                  epsilon: float = 0.1, delta: float = 0.1):

@@ -194,8 +194,6 @@ def gamma_row(stream: RngStream, shape) -> np.ndarray:
 # active sets kept as Python lists.
 
 class _ScalarPolicy:
-    policy_id = "?"
-
     def __init__(self, n_arms: int, horizon: int):
         if n_arms < 2:
             raise ValueError("policies need at least 2 arms")
@@ -231,8 +229,6 @@ class DmedPolicy(_ScalarPolicy):
     the empirical best is pulled.
     """
 
-    policy_id = "dmed"
-
     def __init__(self, n_arms, horizon):
         super().__init__(n_arms, horizon)
         self._queue = []
@@ -267,8 +263,6 @@ class UcbImprovedPolicy(_ScalarPolicy):
     halves d, for at most floor(log2(T/e)/2) rounds.  After the final round
     (or on a singleton) it keeps cycling the surviving arms.
     """
-
-    policy_id = "ucb-improved"
 
     def __init__(self, n_arms, horizon):
         super().__init__(n_arms, horizon)
@@ -332,8 +326,6 @@ class MedianElimPolicy(_ScalarPolicy):
     round's median mean, then sets eps_{l+1} = 3/4 eps_l, delta_{l+1} =
     delta_l / 2.  The t <= K initialization pulls seed round 1's counts.
     """
-
-    policy_id = "median-elim"
 
     def __init__(self, n_arms, horizon, epsilon: float = 0.1, delta: float = 0.1):
         super().__init__(n_arms, horizon)

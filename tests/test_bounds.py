@@ -9,7 +9,6 @@ import pytest
 
 import oracles
 from eucbv.bounds import (
-    BoundInputs,
     check_bernstein_tail,
     elimination_round,
     eucbv_dominant_term,
@@ -21,42 +20,33 @@ from eucbv.bounds import (
     verify_lemma2,
     verify_lemma6,
 )
+from eucbv.env import GAUSSIAN, make_environment
 from eucbv.rng import StreamBatch
 
 
-def _uniform_inputs(n_arms=20, horizon=60000, gap=0.03, variance=0.0651, b=None):
-    gaps = (0.0,) + (gap,) * (n_arms - 1)
-    variances = (variance,) * n_arms
-    if b is None:
-        b = math.sqrt(math.e / horizon)
-    return BoundInputs(n_arms, horizon, gaps, variances, b)
+def _env(gaps, variances):
+    """A Gaussian environment with exactly these gaps: means = -gaps."""
+    return make_environment(GAUSSIAN, [-g for g in gaps], variances)
 
 
-class TestBoundInputs:
-    def test_derived_quantities(self):
-        inputs = _uniform_inputs()
-        assert inputs.sigma_max_sq == 0.0651
-        assert inputs.hardness == pytest.approx(19 / 0.03 ** 2)
-        # uniform gaps: H_i = (#positive gaps) / gap^2 for suboptimal arms
-        assert inputs.hardness_per_arm[1] == pytest.approx(19 / 0.03 ** 2)
-        assert inputs.hardness_per_arm[0] == 0.0
-
-    def test_threshold_below_validity_rejected(self):
-        with pytest.raises(ValueError):
-            _uniform_inputs(b=0.5 * math.sqrt(math.e / 60000))
-
-    def test_negative_gap_rejected(self):
-        with pytest.raises(ValueError):
-            BoundInputs(2, 100, (0.0, -0.1), (0.1, 0.1), 1.0)
+def _uniform_env(n_arms=20, gap=0.03, variance=0.0651):
+    return _env((0.0,) + (gap,) * (n_arms - 1), (variance,) * n_arms)
 
 
 class TestGapDependentBound:
     def test_zero_variance_collapse(self):
         # All gaps above b, zero variance: sum of (C0*K^4/T^(1/4) + gap).
-        inputs = _uniform_inputs(variance=0.0, gap=0.5)
+        env = _uniform_env(variance=0.0, gap=0.5)
         k4 = 20 ** 4 / 60000 ** 0.25
         expected = 19 * (k4 + 0.5)
-        assert eucbv_gap_dependent_bound(inputs, c0=1.0) == pytest.approx(expected)
+        assert eucbv_gap_dependent_bound(env, 60000) == pytest.approx(expected)
+
+    def test_threshold_below_validity_rejected(self):
+        floor = math.sqrt(math.e / 60000)
+        with pytest.raises(ValueError, match="validity range"):
+            eucbv_gap_dependent_bound(_uniform_env(), 60000, b=0.5 * floor)
+        assert eucbv_gap_dependent_bound(_uniform_env(), 60000, b=floor) == (
+            eucbv_gap_dependent_bound(_uniform_env(), 60000))
 
     def test_dominant_term_expt1(self):
         got = eucbv_dominant_term(0.03, 0.0651, 20, 60000)
@@ -68,8 +58,7 @@ class TestGapDependentBound:
         horizon = 60000
         b = 0.01
         gaps = (0.0, 0.5, 0.005)
-        inputs = BoundInputs(3, horizon, gaps, (0.1,) * 3, b)
-        with_small = eucbv_gap_dependent_bound(inputs)
+        with_small = eucbv_gap_dependent_bound(_env(gaps, (0.1,) * 3), horizon, b=b)
         assert with_small >= 0.005 * horizon
 
     def test_log_clamp(self):
@@ -114,7 +103,7 @@ class TestDominantTermMonotonicity:
 
 class TestTable1:
     def test_six_rows_with_distinct_forms(self):
-        rows = table1_bounds(_uniform_inputs())
+        rows = table1_bounds(_uniform_env(), 60000)
         assert [name for name, _, _ in rows] == [
             "eucbv", "moss", "ocucb", "ucb-improved", "ucb1", "ucbv"]
         dep = dict((name, d) for name, d, _ in rows)
@@ -131,7 +120,17 @@ class TestTable1:
             20 * 0.0651 * math.log(60000 * 0.03 ** 2 / 20) / 0.03)
         # moss/eucbv differ exactly by the K/sigma_max^2 factor
         assert dep["moss"] == pytest.approx(dep["eucbv"] * 20 / 0.0651)
-        assert dep["ocucb"] > 0.0
+        # uniform gaps: H_i = 19/gap^2 for each of the 19 suboptimal arms,
+        # and the optimal arm adds nothing
+        assert dep["ocucb"] == pytest.approx(
+            19 * math.log(60000 / (19 / 0.03 ** 2)) / 0.03, rel=1e-12)
+
+    def test_variance_forms_read_the_largest_variance(self):
+        env = _env((0.0,) + (0.03,) * 19, (0.0651,) + (0.01,) * 19)
+        dep = dict((name, d) for name, d, _ in table1_bounds(env, 60000))
+        assert dep["eucbv"] == pytest.approx(
+            20 * 0.0651 * math.log(60000 * 0.03 ** 2 / 20) / 0.03)
+        assert dep["ucbv"] == pytest.approx(20 * 0.0651 * math.log(60000) / 0.03)
 
 
 class TestLemma1:

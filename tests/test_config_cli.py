@@ -442,13 +442,15 @@ preset = expt1
         ["--K", "20", "--T", "100", "--delta", "inf"],
         ["--K", "20", "--T", "100", "--delta", "0.1", "--sigma-sq", "nan"],
         ["--K", "20", "--T", "100", "--delta", "0.1", "--sigma-sq", "-1"],
+        ["--K", "20", "--T", "100", "--delta", "0.1", "--sigma-sq", "inf"],
+        ["--K", "1", "--T", "100", "--delta", "0.1"],
         # finite inputs whose bounds are not: gap**2 overflows, gap**2
         # underflows to a divisor of 0, and inf * 0 gives nan
         ["--K", "2", "--T", "100", "--delta", "1e200"],
         ["--K", "2", "--T", "100", "--delta", "1e-200"],
         ["--K", "2", "--T", "2", "--delta", "0.5", "--sigma-sq", "1e308"],
-    ], ids=["T-zero", "delta-inf", "sigma-sq-nan", "sigma-sq-negative",
-            "gap-squared-overflows", "gap-squared-underflows", "nan-bound"])
+    ], ids=["T-zero", "delta-inf", "sigma-sq-nan", "sigma-sq-negative", "sigma-sq-inf",
+            "one-arm", "gap-squared-overflows", "gap-squared-underflows", "nan-bound"])
     def test_bounds_invalid_input_is_validation_error(self, tmp_path, capsys, bad):
         assert main(["bounds", *bad, "--out", str(tmp_path)]) == 3
         assert not (tmp_path / "bounds_table1.csv").exists()

@@ -80,6 +80,13 @@ class TestMakeEnvironment:
         assert np.allclose(env.gaps[:19], 0.03)
         assert env.gaps[19] == 0.0
 
+    def test_gaps_are_nonnegative(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            means = rng.normal(size=int(rng.integers(2, 30)))
+            env = make_environment("gaussian", means, np.ones_like(means))
+            assert (env.gaps >= 0.0).all() and env.gaps[env.optimal_index] == 0.0
+
     def test_tie_broken_to_lowest_index(self):
         env = make_environment("bernoulli", [0.5, 0.5])
         assert env.optimal_index == 0

@@ -1,4 +1,5 @@
-"""Golden bytes: the CLI's curves and summary CSVs, pinned by sha256.
+"""Golden bytes: the CLI's curves and summary CSVs, its bounds table and its
+lemma report, pinned by sha256.
 
 The digests pin every policy's trajectories bit for bit, so a change that
 claims to keep the output exact (incremental per-step state, block
@@ -85,3 +86,44 @@ def test_elimination_config_csv_bytes(tmp_path):
     _run(["run", "--config", str(config), "--out", str(out)])
     assert _digests(out, "elim") == ELIM_DIGESTS, (
         f"CSV bytes changed (digests taken with numpy 2.4.6, running {np.__version__})")
+
+
+# The bounds table and the lemma report, pinned by sha256 like the curves.
+BOUNDS_DIGESTS = {
+    "preset-expt1": (["--preset", "expt1"],
+                     "47423f3c3df8efd4d701a26e9e8805ad816fc75257ceb583cfcebf066751c794"),
+    "preset-expt2": (["--preset", "expt2"],
+                     "ab6930381be874b44d93a104ffd7fa56d16e908ba5cc10ef583c07998d63874a"),
+    "preset-expt3": (["--preset", "expt3"],
+                     "0bb441a573875ec4442145c5e2fc97d3d14836600f3696fade8face269c28f30"),
+    "preset-expt4": (["--preset", "expt4"],
+                     "4d7cd6434727e87ca88ee81931c1adda1bb0b7c8b72e2d07a46ede381611c2db"),
+    "K20-T60000": (["--K", "20", "--T", "60000", "--delta", "0.03"],
+                   "7ec06cc12e21ebc49f03067da55e89d49b5550a4f2eb2b3e0d0d839eae752c9c"),
+    "K7-T5000-sigma-sq": (["--K", "7", "--T", "5000", "--delta", "0.2",
+                           "--sigma-sq", "0.05"],
+                          "ea6aebbe103201beaf67c170d39e4a02cbb62cef4af4aabe050815b128cfaa45"),
+}
+
+LEMMA_DIGESTS = {
+    "small": "1ea679bd269ac02803c2baeff7ed1ad80927038c652c0d1f7c67920608a63b4b",
+    "full": "ab3407af4fcb7bffb997ea3abd00ab7a2de467b4423a96933f511133dade5c42",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDS_DIGESTS))
+def test_bounds_csv_bytes(tmp_path, case):
+    args, digest = BOUNDS_DIGESTS[case]
+    assert main(["bounds", *args, "--out", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / "bounds_table1.csv") == digest
+
+
+@pytest.mark.parametrize("grid", sorted(LEMMA_DIGESTS))
+def test_lemma_report_bytes(tmp_path, grid):
+    assert main(["verify-lemmas", "--grid", grid, "--tail-samples", "2000",
+                 "--out", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / "lemma_report.txt") == LEMMA_DIGESTS[grid]

@@ -25,8 +25,6 @@ from eucbv.simulator import (
 class _FixedArmPolicy(BatchPolicy):
     """Always pulls one arm, initialization included (test stub)."""
 
-    policy_id = "fixed"
-
     def __init__(self, arm, n_arms, horizon):
         super().__init__(1, n_arms, horizon)
         self.arm = arm
@@ -36,8 +34,6 @@ class _FixedArmPolicy(BatchPolicy):
 
 
 class _RoundRobinPolicy(BatchPolicy):
-    policy_id = "round-robin"
-
     def _select(self, t):
         return np.full(self.n_runs, (t - 1) % self.n_arms, dtype=np.int64)
 
