@@ -6,9 +6,17 @@ it selects according to its rule.  Every policy is a lockstep batch of
 independent lanes, one per run; lane r's trajectory is identical to running
 that lane alone (a one-lane batch) because no computation couples lanes.
 
+Each step t the driver calls ``select(t)``, which returns one arm per lane,
+then ``update(t, arms, rewards)``.  The driver's t is the only clock.
+``update`` records the observations in ``stats`` and passes the flat
+(C-order) cells it wrote, ``r*K + arms[r]`` for lane r, to the subclass
+hook ``_after_update(t, cells, rewards)``; per-lane state is written through
+those cells with ``np.take``/``np.put``.
+
 The (R, K) ``active`` mask holds the arms each lane may still pull; only
 the eliminating policies (eucbv, ucb-improved, median-elim) clear it, and
-they keep each lane's round index in ``m``.  ``survivors`` reads the mask.
+they keep each lane's round index in ``m``.  EUCBV and UCB-Improved remove
+the arms that ``dominated`` names.  ``survivors`` reads the mask.
 """
 
 from __future__ import annotations
@@ -16,6 +24,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..stats import PullStats
+
+
+def dominated(active: np.ndarray, upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Active arms whose upper bound lies strictly below their lane's best
+    active lower bound, as an (R, K) mask.
+
+    The best runs over all active arms including the candidate, so the arm
+    attaining it is never dominated (its upper bound is >= its lower bound)
+    and every lane keeps an active arm.
+    """
+    best = np.where(active, lower, -np.inf).max(axis=1)
+    return active & (upper < best[:, None])
 
 
 class BatchPolicy:
@@ -32,7 +52,6 @@ class BatchPolicy:
         self.rng = rng
         self.stats = PullStats(n_runs, n_arms)
         self.active = np.ones((n_runs, n_arms), dtype=bool)
-        self._t = 0
 
     def select(self, t: int) -> np.ndarray:
         """Arm choice per lane at timestep t (1-based)."""
@@ -40,11 +59,9 @@ class BatchPolicy:
             return np.full(self.n_runs, t - 1, dtype=np.int64)
         return self._select(t)
 
-    def update(self, arms: np.ndarray, rewards: np.ndarray) -> None:
-        """Record one observation per lane."""
-        self.stats.record(arms, rewards)
-        self._t += 1
-        self._after_update(self._t, arms, rewards)
+    def update(self, t: int, arms: np.ndarray, rewards: np.ndarray) -> None:
+        """Record one observation per lane at timestep t."""
+        self._after_update(t, self.stats.record(arms, rewards), rewards)
 
     def survivors(self) -> np.ndarray:
         """Per lane, the lone active arm once one is left, else -1."""
@@ -52,10 +69,14 @@ class BatchPolicy:
         return np.where(self.active.sum(axis=1) == 1, only, -1).astype(np.int64)
 
     def pull_counts(self) -> np.ndarray:
-        return self.stats.pull_counts()
+        return self.stats.counts.astype(np.int64)
+
+    def _live(self, lanes: np.ndarray) -> np.ndarray:
+        """Which of ``lanes`` still hold more than one active arm."""
+        return np.count_nonzero(self.active[lanes], axis=1) > 1
 
     def _select(self, t: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _after_update(self, t: int, arms: np.ndarray, rewards: np.ndarray) -> None:
+    def _after_update(self, t: int, cells: np.ndarray, rewards: np.ndarray) -> None:
         pass

@@ -69,14 +69,14 @@ class TsBetaPolicy(BatchPolicy):
         samples = self.rng.beta_block(self.successes + 1.0, failures + 1.0)
         return np.argmax(samples, axis=1)
 
-    def _after_update(self, t, arms, rewards):
+    def _after_update(self, t, cells, rewards):
         binary = (rewards == 0.0) | (rewards == 1.0)
         outcomes = rewards.copy()
         lanes = np.nonzero(~binary)[0]
         if lanes.size:
             u = self.rng.uniform_lanes(lanes)
             outcomes[lanes] = (u < np.clip(rewards[lanes], 0.0, 1.0)).astype(np.float64)
-        self.successes[np.arange(self.n_runs), arms] += outcomes
+        np.put(self.successes, cells, np.take(self.successes, cells) + outcomes)
 
 
 class TsGaussPolicy(BatchPolicy):
@@ -91,8 +91,7 @@ class TsGaussPolicy(BatchPolicy):
         self._post_mean = np.zeros((n_runs, n_arms))
         self._post_sd = np.ones((n_runs, n_arms))
 
-    def _after_update(self, t, arms, rewards):
-        cells = self.stats.cells(arms)
+    def _after_update(self, t, cells, rewards):
         precision = 1.0 + np.take(self.stats.counts, cells)
         np.put(self._post_mean, cells, np.take(self.stats.sums, cells) / precision)
         np.put(self._post_sd, cells, 1.0 / np.sqrt(precision))
@@ -116,7 +115,7 @@ class BayesUcbPolicy(BatchPolicy):
         scores = bayes_ucb_index(reward_sum, self.stats.counts, t, self.horizon, self.prior)
         return np.argmax(scores, axis=1)
 
-    def _after_update(self, t, arms, rewards):
+    def _after_update(self, t, cells, rewards):
         if self.prior == "beta":
-            rows = np.arange(self.n_runs)
-            self.successes[rows, arms] += np.clip(rewards, 0.0, 1.0)
+            successes = np.take(self.successes, cells) + np.clip(rewards, 0.0, 1.0)
+            np.put(self.successes, cells, successes)

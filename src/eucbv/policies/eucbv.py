@@ -41,9 +41,7 @@ import warnings
 
 import numpy as np
 
-from .base import BatchPolicy
-
-_NEG_INF = -np.inf
+from .base import BatchPolicy, dominated
 
 
 def confidence_radius(v_hat, pulls, log_term, rho):
@@ -119,10 +117,10 @@ class EucbvPolicy(BatchPolicy):
     def _select(self, t: int) -> np.ndarray:
         """Per-lane active arm with the highest upper bound (lowest index on
         ties); a committed lane's lone active arm."""
-        return np.argmax(np.where(self.active, self._ucb, _NEG_INF), axis=1)
+        return np.argmax(np.where(self.active, self._ucb, -np.inf), axis=1)
 
-    def _after_update(self, t: int, arms: np.ndarray, rewards: np.ndarray) -> None:
-        self._refresh(self.stats.cells(arms), self._log_conf[self.m])
+    def _after_update(self, t: int, cells: np.ndarray, rewards: np.ndarray) -> None:
+        self._refresh(cells, self._log_conf[self.m])
         if t <= self.n_arms:
             return  # initialization phase: no elimination, no round resets
         # A lane already committed before this step only pulls; a lane that
@@ -132,32 +130,22 @@ class EucbvPolicy(BatchPolicy):
         # step's elimination, only for the lanes due for a round reset.
         if np.count_nonzero(self.active) == self.n_runs:
             return
-        lanes = (t >= self.deadline) & (self.m <= self.max_rounds)
-        if lanes.any():
-            due = np.flatnonzero(lanes)
-            lanes[due] = self.active[due].sum(axis=1) > 1
+        due = np.flatnonzero((t >= self.deadline) & (self.m <= self.max_rounds))
+        if due.size:
+            due = due[self._live(due)]
         self._eliminate()
-        self._advance_round(t, lanes)
+        if due.size:
+            self._advance_round(t, due)
 
     def _eliminate(self) -> None:
-        """Remove active arms whose UCB falls strictly below their lane's
-        best active LCB.
+        """Remove the active arms that ``dominated`` names under the cached
+        bounds.  A committed lane's lone arm attains its own best LCB, so
+        committed lanes need no mask: the step leaves them as they are."""
+        self.active &= ~dominated(self.active, self._ucb, self._lcb)
 
-        The max runs over all active arms including the candidate itself, so
-        the arm attaining the best LCB always survives (its UCB >= its LCB).
-        A committed lane's lone arm is that arm, so committed lanes need no
-        mask: the step leaves them as they are.
-        """
-        lcb_best = np.where(self.active, self._lcb, _NEG_INF).max(axis=1)
-        self.active &= ~(self._ucb < lcb_best[:, None])
-
-    def _advance_round(self, t: int, lanes: np.ndarray) -> None:
-        """Round reset for the lanes in ``lanes`` with t >= N_m and m <= M:
-        increment m, set N_{m+1} = t + |B| * n_{m+1}, refresh their bounds."""
-        adv = lanes & (t >= self.deadline) & (self.m <= self.max_rounds)
-        if not adv.any():
-            return
-        rows = np.nonzero(adv)[0]
+    def _advance_round(self, t: int, rows: np.ndarray) -> None:
+        """Round reset for the lanes ``rows`` (ascending), all due: increment
+        m, set N_{m+1} = t + |B| * n_{m+1}, refresh their bounds."""
         self.m[rows] += 1
         self.deadline[rows] = t + self.active[rows].sum(axis=1) * self._quotas[self.m[rows]]
         cells = rows[:, None] * self.n_arms + np.arange(self.n_arms)

@@ -66,8 +66,7 @@ class _CellIndexPolicy(BatchPolicy):
     def _cell_index(self, mean, pulls):
         raise NotImplementedError
 
-    def _after_update(self, t, arms, rewards):
-        cells = self.stats.cells(arms)
+    def _after_update(self, t, cells, rewards):
         pulls, mean = self.stats.cell_means(cells)
         np.put(self._index, cells, self._cell_index(mean, pulls))
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .base import BatchPolicy
+from .base import BatchPolicy, dominated
 from .eucbv import round_cap
 from .kl import kl_bernoulli
 
@@ -80,7 +80,6 @@ class _SweepPolicy(BatchPolicy):
         self._cursor = np.zeros(n_runs, dtype=np.int64)
         self.m = np.zeros(n_runs, dtype=np.int64)
         self._cols = np.arange(n_arms)
-        self._rows = np.arange(n_runs)
 
     def _sweep(self, counts: np.ndarray) -> np.ndarray:
         """Per lane, the next active arm below quota cycling from the cursor;
@@ -94,23 +93,19 @@ class _SweepPolicy(BatchPolicy):
         self._cursor = arms + 1
         return arms
 
-    def _completed(self, arms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    def _completed(self, cells: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """Live lanes whose every active arm has met this round's quota.
 
-        Only the lanes whose pulled arm met its quota are read further,
+        Only the lanes whose pulled cell met its quota are read further,
         liveness first; no step reduces the whole (R, K) mask.
         """
-        lanes = np.nonzero(counts[self._rows, arms] >= self._quota)[0]
+        lanes = np.nonzero(np.take(counts, cells) >= self._quota)[0]
         if lanes.size:
             lanes = lanes[self._live(lanes)]
         if not lanes.size:
             return lanes
         least = np.where(self.active[lanes], counts[lanes], np.inf).min(axis=1)
         return lanes[least >= self._quota[lanes]]
-
-    def _live(self, lanes: np.ndarray) -> np.ndarray:
-        """Which of ``lanes`` still hold more than one active arm."""
-        return np.count_nonzero(self.active[lanes], axis=1) > 1
 
     def _next_round(self, lanes: np.ndarray) -> None:
         self.m[lanes] += 1
@@ -149,16 +144,15 @@ class UcbImprovedPolicy(_SweepPolicy):
         """Lanes with more than one active arm and a round left to finish."""
         return super()._live(lanes) & (self.m[lanes] <= self._max_rounds)
 
-    def _after_update(self, t, arms, rewards):
+    def _after_update(self, t, cells, rewards):
         counts = self.stats.counts
-        done = self._completed(arms, counts)
+        done = self._completed(cells, counts)
         if not done.size:
             return
         c = self._widths[self.m[done]][:, None]
         means = self.stats.sums[done] / counts[done]
         active = self.active[done]
-        threshold = np.where(active, means - c, -np.inf).max(axis=1)
-        self.active[done] = active & ~(means + c < threshold[:, None])
+        self.active[done] = active & ~dominated(active, means + c, means - c)
         self._next_round(done)
 
 
@@ -190,11 +184,11 @@ class MedianElimPolicy(_SweepPolicy):
     def _select(self, t):
         return self._sweep(self._round_counts)
 
-    def _after_update(self, t, arms, rewards):
+    def _after_update(self, t, cells, rewards):
         # A committed lane's round statistics are never read again.
-        self._round_counts[self._rows, arms] += 1.0
-        self._round_sums[self._rows, arms] += rewards
-        done = self._completed(arms, self._round_counts)
+        np.put(self._round_counts, cells, np.take(self._round_counts, cells) + 1.0)
+        np.put(self._round_sums, cells, np.take(self._round_sums, cells) + rewards)
+        done = self._completed(cells, self._round_counts)
         for lane in done.tolist():
             idx = np.nonzero(self.active[lane])[0]
             means = self._round_sums[lane, idx] / self._round_counts[lane, idx]

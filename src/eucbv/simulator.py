@@ -99,7 +99,7 @@ def run_batch(env: Environment, policy, horizon: int, reward_streams: StreamBatc
         for t, noise in enumerate(block, lo + 1):
             arms = policy.select(t)
             rewards = sample_rewards_batch(env, arms, noise)
-            policy.update(arms, rewards)
+            policy.update(t, arms, rewards)
             regret += gaps[arms]
             if t == next_ck:
                 curves[:, ck] = regret
@@ -128,14 +128,14 @@ def run_many(env: Environment, policy, horizon: int, runs: int, master_seed: int
              n_checkpoints: int = DEFAULT_CHECKPOINTS) -> AggregateCurve:
     """Aggregate ``runs`` independent replications of one policy.
 
-    ``policy`` is a registered policy id or an (id, params) pair.
+    ``policy`` is an (id, params) pair; params may be None.
     Replication k uses the reward and policy streams derived from
     (master_seed, k).  The aggregate is invariant to ``threads``.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     ck = checkpoint_times(horizon, n_checkpoints)
-    policy_id, params = (policy, None) if isinstance(policy, str) else policy
+    policy_id, params = policy
     width = chunk_width(runs, threads)
     tasks = [
         (env, policy_id, params, horizon, master_seed, lo, min(lo + width, runs), ck)

@@ -39,17 +39,15 @@ class PullStats:
                       self.sq_sums.reshape(-1))
         self._row_starts = np.arange(n_runs) * n_arms
 
-    def cells(self, arms: np.ndarray) -> np.ndarray:
-        """Flat (C-order) index of lane r's cell for ``arms[r]``, per lane."""
-        return self._row_starts + arms
-
-    def record(self, arms: np.ndarray, rewards: np.ndarray) -> None:
-        """Record one (arm, reward) observation per lane."""
-        cells = self.cells(arms)
+    def record(self, arms: np.ndarray, rewards: np.ndarray) -> np.ndarray:
+        """Record one (arm, reward) observation per lane; returns the flat
+        (C-order) cells written, ``r*K + arms[r]`` for lane r."""
+        cells = self._row_starts + arms
         counts, sums, sq_sums = self._flat
         counts[cells] += 1.0
         sums[cells] += rewards
         sq_sums[cells] += rewards * rewards
+        return cells
 
     def means(self) -> np.ndarray:
         """Per-cell sample means; caller guarantees counts >= 1."""
@@ -73,7 +71,3 @@ class PullStats:
         those cells of ``counts``, ``means()`` and ``variances()``."""
         counts, means = self.cell_means(cells)
         return counts, means, _variance(np.take(self._flat[2], cells), counts, means)
-
-    def pull_counts(self) -> np.ndarray:
-        return self.counts.astype(np.int64)
-

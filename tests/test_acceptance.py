@@ -193,7 +193,7 @@ def test_criterion_5_invariant_suite():
             if t > env.n_arms:
                 assert last_active[arm], "pulled an eliminated arm"
             noise = reward_noise(env, stream, 1)[:, 0]
-            policy.update(arms, sample_rewards_batch(env, arms, noise))
+            policy.update(t, arms, sample_rewards_batch(env, arms, noise))
             m = int(policy.m[0])
             if m != prev_m:  # one round at a time: N_m = t + |B| * n_m
                 assert m == prev_m + 1

@@ -575,3 +575,38 @@ class TestSetupProbe:
         assert len(lines) == 1, proc.stdout
         record = json.loads(lines[0])
         assert record["import_s"] >= 0.0 and record["config_s"] >= 0.0
+
+
+class TestTracingHooks:
+    """Every library binding the benchmark's tracer (perfbench/tracing.py)
+    hooks today still resolves, so a rename fails here instead of silently
+    blanking a benchmark metric."""
+
+    RESOLVING = (
+        "eucbv.cli._write_csv",
+        "eucbv.policies.kl.klucb_index",
+        "eucbv.rng.StreamBatch.beta_block",
+        "eucbv.rng.StreamBatch.gamma_block",
+        "eucbv.rng.StreamBatch.normal_block",
+        "eucbv.rng.StreamBatch.uniform_block",
+        "eucbv.rng.StreamBatch.uniform_lanes",
+        "eucbv.simulator.ProcessPoolExecutor",
+        "eucbv.simulator._aggregate",
+        "eucbv.simulator._simulate_chunk",
+        "eucbv.simulator.make_batch_policy",
+        "eucbv.simulator.run_batch",
+        "eucbv.simulator.sample_rewards_batch",
+        "eucbv.stats.PullStats.means",
+        "eucbv.stats.PullStats.record",
+        "eucbv.stats.PullStats.variances",
+    )
+
+    def test_hooks_resolve(self, tmp_path):
+        _fresh(f"""
+import sys
+sys.path.insert(0, {str(PERFBENCH)!r})
+import tracing
+hooks = tracing.install(tracing.Tracer({str(tmp_path)!r}))
+absent = [key for key in {self.RESOLVING!r} if hooks.get(key) != "present"]
+assert not absent, absent
+""")

@@ -13,7 +13,7 @@ import pytest
 import oracles
 from eucbv.policies import EucbvPolicy, confidence_radius
 
-LANE = np.ones(1, dtype=bool)  # the one lane of a one-lane policy
+LANE = np.zeros(1, dtype=np.int64)  # a one-lane policy's row, and its arm-0 cell
 
 
 def _policy(n_arms, horizon, **kw):
@@ -201,14 +201,16 @@ class TestAdvanceRound:
 
     def test_before_deadline_no_change(self):
         policy = _policy(20, 60000)
-        policy._advance_round(179, LANE)
+        _set_all(policy)
+        policy._after_update(179, LANE, None)
         assert policy.m[0] == 0 and policy.deadline[0] == 180
 
     def test_no_advancement_past_round_cap(self):
         policy = _policy(20, 60000)
         policy.m[0] = policy.max_rounds + 1
         policy.deadline[0] = 0
-        policy._advance_round(10 ** 6, LANE)
+        _set_all(policy)
+        policy._after_update(10 ** 6, LANE, None)
         assert policy.m[0] == policy.max_rounds + 1
         assert policy.deadline[0] == 0
 
@@ -242,7 +244,7 @@ class TestAdvanceRound:
             for arm in range(20):
                 _set_arm(policy, arm, 9, 0.5, 0.1, lane)
         policy.active[0, 1:] = False
-        policy._after_update(180, np.zeros(2, dtype=np.int64), None)
+        policy._after_update(180, np.array([0, 20]), None)  # both lanes' arm 0
         assert policy.m.tolist() == [0, 1]
         assert policy.deadline.tolist() == [180, 180 + 20 * 15]
         assert policy.survivors().tolist() == [0, -1]
@@ -257,7 +259,7 @@ class TestAdvanceRound:
         for arm in range(1, 20):
             _set_arm(policy, arm, 400, 0.0, 0.0, lane=0)
         _set_arm(policy, 0, 400, 1.0, 0.0, lane=0)
-        policy._after_update(180, np.zeros(2, dtype=np.int64), None)
+        policy._after_update(180, np.array([0, 20]), None)  # both lanes' arm 0
         assert policy.survivors().tolist() == [0, -1]
         assert policy.m.tolist() == [1, 1]
         assert policy.deadline.tolist() == [180 + 1 * 15, 180 + 20 * 15]
@@ -273,7 +275,7 @@ class TestStep:
             arm = int(arms[0])
             r = tape[arm][cursor[arm] % len(tape[arm])]
             cursor[arm] += 1
-            policy.update(arms, np.array([r]))
+            policy.update(t, arms, np.array([r]))
             if t > n_arms:
                 pulled.append(arm)
         return policy, pulled
@@ -297,7 +299,7 @@ class TestPolicyInvariants:
         prev_m = 0
         for t in range(1, 401):
             arms = policy.select(t)
-            policy.update(arms, rng.random(1))
+            policy.update(t, arms, rng.random(1))
             m = int(policy.m[0])
             if m != prev_m:  # a reset moves to eps_m = 2**-m: N_m = t + |B| n_m
                 assert m == prev_m + 1
@@ -314,7 +316,7 @@ class TestPolicyInvariants:
         frozen = {}
         for t in range(1, 601):
             arm = int(policy.select(t)[0])
-            policy.update(np.array([arm]), np.array([tape[arm]]))
+            policy.update(t, np.array([arm]), np.array([tape[arm]]))
             counts = policy.stats.counts[0]
             for dead in np.nonzero(~policy.active[0])[0]:
                 frozen.setdefault(int(dead), counts[dead])

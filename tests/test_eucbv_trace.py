@@ -105,7 +105,7 @@ def engine_trajectory_policy(n_arms, horizon, tape, **kw):
         arm = int(policy.select(t)[0])
         reward = float(tape[arm][cursor[arm] % len(tape[arm])])
         cursor[arm] += 1
-        policy.update(np.array([arm]), np.array([reward]))
+        policy.update(t, np.array([arm]), np.array([reward]))
         pulls_seq.append(arm)
         now_active = policy.active[0]
         removed = np.nonzero(prev_active & ~now_active)[0]

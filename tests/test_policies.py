@@ -69,12 +69,12 @@ class TestIndexFormulas:
         for pid in ("ucb-improved", "median-elim"):
             policy = make_batch_policy(pid, 1, 4, 10 ** 5)
             for arm, reward in enumerate((0.0, 0.1, 0.2, 1.0)):
-                policy.update(np.array([arm]), np.array([reward]))
+                policy.update(arm + 1, np.array([arm]), np.array([reward]))
             seq = []
             for t in range(5, 13):
                 arm = int(policy.select(t)[0])
                 seq.append(arm)
-                policy.update(np.array([arm]), np.array([float(arm == 3)]))
+                policy.update(t, np.array([arm]), np.array([float(arm == 3)]))
             assert seq == [0, 1, 2, 3, 0, 1, 2, 3], pid
 
 
@@ -176,9 +176,11 @@ class TestBatchSelectConsistency:
             policy = make_batch_policy(pid, 1, n_arms, horizon)
             pulls = rng.integers(1, 80, size=n_arms)
             t = int(pulls.sum()) + 1
+            step = 0
             for arm in range(n_arms):
                 for _ in range(int(pulls[arm])):
-                    policy.update(np.array([arm]),
+                    step += 1
+                    policy.update(step, np.array([arm]),
                                   np.array([float(rng.random() < 0.4)]))
             chosen = int(policy.select(t)[0])
             means = policy.stats.means()[0]
@@ -258,7 +260,7 @@ class TestCachedIndices:
                     fresh = np.where(policy.active, fresh, -np.inf)
                 assert np.array_equal(arms, np.argmax(fresh, axis=1))
             noise = reward_noise(env, streams, 1)[:, 0]
-            policy.update(arms, sample_rewards_batch(env, arms, noise))
+            policy.update(t, arms, sample_rewards_batch(env, arms, noise))
         if pid == "eucbv":
             # every lane reset rounds and eliminated; some, not all, committed
             live = policy.active.sum(axis=1)
@@ -275,9 +277,9 @@ class TestTsPolicies:
         rng = _rng(3)
         policy = make_batch_policy("ts-beta", 1, 2, 100, rng=rng)
         before = int(rng.counters[0])
-        policy.update(np.array([0]), np.array([1.0]))
+        policy.update(1, np.array([0]), np.array([1.0]))
         assert int(rng.counters[0]) == before
-        policy.update(np.array([0]), np.array([0.5]))  # non-binary: one flip
+        policy.update(2, np.array([0]), np.array([0.5]))  # non-binary: one flip
         assert int(rng.counters[0]) == before + 1
         assert policy.stats.counts[0, 0] == 2.0
         assert policy.successes[0, 0] in (1.0, 2.0)
@@ -291,14 +293,14 @@ class TestTsPolicies:
             arm = int(policy.select(t)[0])
             counts[arm] += 1
             p = (0.8, 0.2)[arm]
-            policy.update(np.array([arm]), np.array([float(reward_rng.random() < p)]))
+            policy.update(t, np.array([arm]), np.array([float(reward_rng.random() < p)]))
         assert counts[0] > 0.8 * 3000
 
     def test_ts_gauss_posterior_shrinks(self):
         rng = _rng(9)
         policy = make_batch_policy("ts-gauss", 1, 2, 1000, rng=rng)
-        for _ in range(400):
-            policy.update(np.array([0]), np.array([1.0]))
+        for t in range(1, 401):
+            policy.update(t, np.array([0]), np.array([1.0]))
         samples = np.array([float(policy.select(500)[0] == 0) for _ in range(200)])
         # arm 0 posterior ~ N(400/401, 1/401), arm 1 still ~ N(0, 1): arm 0
         # wins whenever the prior sample stays below ~1, i.e. ~84% of draws
@@ -321,7 +323,7 @@ def _replay_against_reference(pid, refs, means, horizon, params=None, seed=29):
             r = float(tapes[lane][t - 1, arm])
             ref.update(arm, r)
             rewards.append(r)
-        batch.update(arms, np.array(rewards))
+        batch.update(t, arms, np.array(rewards))
     for lane, ref in enumerate(refs):
         assert np.array_equal(batch.pull_counts()[lane], ref.pull_counts())
         want = ref.survivor()
@@ -336,7 +338,7 @@ class TestRoundPolicies:
         for t in range(1, 10):
             arm = int(policy.select(t)[0])
             seq.append(arm)
-            policy.update(np.array([arm]), np.array([1.0 if arm == 0 else 0.0]))
+            policy.update(t, np.array([arm]), np.array([1.0 if arm == 0 else 0.0]))
         assert seq[:3] == [0, 1, 2]
         # after the first sweep, only arms passing the divergence gate return
         assert 0 in seq[3:]
@@ -347,7 +349,7 @@ class TestRoundPolicies:
         means = (0.7, 0.3, 0.1)
         for t in range(1, 4001):
             arm = int(policy.select(t)[0])
-            policy.update(np.array([arm]), np.array([float(rng.random() < means[arm])]))
+            policy.update(t, np.array([arm]), np.array([float(rng.random() < means[arm])]))
         assert policy.pull_counts()[0, 0] > 2500
 
     def test_dmed_batch_matches_scalar_reference(self):
@@ -384,7 +386,7 @@ class TestRoundPolicies:
         policy = make_batch_policy("median-elim", 1, 2, 4000, {"epsilon": 0.9, "delta": 0.9})
         for t in range(1, 4001):
             arm = int(policy.select(t)[0])
-            policy.update(np.array([arm]), np.array([(0.9, 0.1)[arm]]))
+            policy.update(t, np.array([arm]), np.array([(0.9, 0.1)[arm]]))
         assert policy.survivors().tolist() == [0]
         assert policy.pull_counts()[0].tolist() == [3850, 150]
         assert policy.m.tolist() == [1]
@@ -405,7 +407,7 @@ class TestRoundPolicies:
         rng = np.random.default_rng(23)
         for t in range(1, horizon + 1):
             arm = int(policy.select(t)[0])
-            policy.update(np.array([arm]), np.array([float(rng.random() < (0.9, 0.1)[arm])]))
+            policy.update(t, np.array([arm]), np.array([float(rng.random() < (0.9, 0.1)[arm])]))
         assert policy.survivors()[0] == 0
         # eliminated arm froze at (or just past) a round boundary
         assert policy.pull_counts()[0, 1] < horizon / 4
@@ -419,7 +421,7 @@ class TestRoundPolicies:
         while policy.active[0].sum() == 4:
             t += 1
             arm = int(policy.select(t)[0])
-            policy.update(np.array([arm]), np.array([means[arm]]))  # deterministic rewards
+            policy.update(t, np.array([arm]), np.array([means[arm]]))  # deterministic rewards
             assert t <= 4 * quota + 4
         assert policy.active[0].tolist() == [True, True, False, False]
         # fresh per-round estimates: round counters were reset
@@ -437,7 +439,7 @@ class TestRegistry:
             policy = make_batch_policy(pid, 2, 3, 500, rng=rng)
             arms = policy.select(1)
             assert arms.tolist() == [0, 0]
-            policy.update(arms, np.array([0.5, 1.0]))
+            policy.update(1, arms, np.array([0.5, 1.0]))
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -455,6 +457,12 @@ class TestRegistry:
         # a single run is a one-lane batch
         policy = make_batch_policy("ucb1", 1, 3, 50)
         assert policy.select(1).tolist() == [0]
-        policy.update(np.array([0]), np.array([1.0]))
+        policy.update(1, np.array([0]), np.array([1.0]))
         assert policy.survivors().tolist() == [-1]
         assert policy.pull_counts().tolist() == [[1, 0, 0]]
+
+    def test_pull_counts_dtype(self):
+        policy = make_batch_policy("ucb1", 1, 2, 50)
+        policy.update(1, np.array([1]), np.array([0.5]))
+        assert policy.pull_counts().dtype == np.int64
+        assert policy.pull_counts().tolist() == [[0, 1]]

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from eucbv.env import make_environment, reward_noise, sample_rewards_batch
 from eucbv.policies import make_batch_policy
+from eucbv.policies.base import dominated
 from eucbv.policies.eucbv import EucbvPolicy, confidence_radius
 from eucbv.policies.kl import kl_bernoulli, klucb_argmax, klucb_index
 from eucbv.rng import StreamBatch, _mix64_np, derive_key, mix64
@@ -174,10 +175,12 @@ def test_select_scale_free_in_means(eighths, shift):
         warnings.simplefilter("ignore")
         a = EucbvPolicy(1, 4, 100)
         b = EucbvPolicy(1, 4, 100)
+    t = 0
     for r in base:  # round-robin so every arm is pulled before elimination
         for arm in range(4):
-            a.update(np.array([arm]), np.array([r]))
-            b.update(np.array([arm]), np.array([r + shift]))
+            t += 1
+            a.update(t, np.array([arm]), np.array([r]))
+            b.update(t, np.array([arm]), np.array([r + shift]))
     assert a.select(33)[0] == b.select(33)[0]
 
 
@@ -210,7 +213,7 @@ def test_eucbv_simulation_invariants(rnd, seed):
         if t > k:
             assert policy.active[0, arm], "pulled an eliminated arm"
         noise = reward_noise(env, lane, 1)[:, 0]
-        policy.update(arms, sample_rewards_batch(env, arms, noise))
+        policy.update(t, arms, sample_rewards_batch(env, arms, noise))
         pull_log.append(arm)
         m = int(policy.m[0])
         if m != prev_m:  # a reset enters round m: N_m = t + |B| * n_m
@@ -248,6 +251,25 @@ def test_run_once_invariants_for_index_policies(rnd, seed):
     assert curve[0] >= 0.0
     assert abs(curve[-1] - float(env.gaps @ pulls)) < 1e-9
 
+
+@_SETTINGS
+@given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=8))
+def test_dominated_keeps_the_best_lower_bound(seed, n_lanes, n_arms):
+    # quarter-step values make ties between bounds common
+    rng = np.random.default_rng(seed)
+    lower = rng.integers(0, 5, size=(n_lanes, n_arms)) / 4.0
+    upper = lower + rng.integers(0, 3, size=(n_lanes, n_arms)) / 4.0
+    active = rng.random((n_lanes, n_arms)) < 0.7
+    active[np.arange(n_lanes), rng.integers(0, n_arms, size=n_lanes)] = True
+    mask = dominated(active, upper, lower)
+    assert (active & ~mask).any(axis=1).all()
+    best = np.argmax(np.where(active, lower, -np.inf), axis=1)
+    assert not mask[np.arange(n_lanes), best].any()
+    for r in range(n_lanes):
+        best_lower = max(lower[r, j] for j in range(n_arms) if active[r, j])
+        assert mask[r].tolist() == [bool(active[r, i] and upper[r, i] < best_lower)
+                                    for i in range(n_arms)]
 
 @_SETTINGS
 @given(

@@ -204,7 +204,7 @@ class TestBlockNoise:
         for t in range(1, horizon + 1):
             arms = policy.select(t)
             noise = reward_noise(env, by_step, 1)[:, 0]
-            policy.update(arms, sample_rewards_batch(env, arms, noise))
+            policy.update(t, arms, sample_rewards_batch(env, arms, noise))
             regret += env.gaps[arms]
             assert np.array_equal(curves[:, t - 1], regret)
         assert np.array_equal(pulls, policy.pull_counts())

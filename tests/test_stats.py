@@ -121,8 +121,11 @@ class TestPullStats:
         assert np.array_equal(ps.sums, sums)
         assert np.array_equal(ps.sq_sums, sq_sums)
 
-    def test_pull_counts_dtype(self):
-        ps = PullStats(1, 2)
-        ps.record(np.array([1]), np.array([0.5]))
-        assert ps.pull_counts().dtype == np.int64
-        assert ps.pull_counts().tolist() == [[0, 1]]
+    def test_record_returns_flat_cells(self):
+        # lane r's written cell is r*K + arms[r], the flat (C-order) index
+        ps = PullStats(3, 4)
+        arms = np.array([2, 0, 3])
+        cells = ps.record(arms, np.array([0.5, 1.0, 0.25]))
+        assert cells.tolist() == [2, 4, 11]
+        assert ps.counts.reshape(-1)[cells].tolist() == [1.0, 1.0, 1.0]
+        assert ps.counts.sum() == 3.0
