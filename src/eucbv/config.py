@@ -30,7 +30,8 @@ The [environment] keys go to ``env.make_environment``, which checks the arms;
 its errors come back as validation errors prefixed "[environment]".  A spec
 holds the Environment it built, so a run builds it once.  Validation builds
 each policy of the roster that will run once, and no other, so scipy loads
-during set-up only when that roster has Bayes-UCB.
+during set-up only when that roster has a beta-prior Bayes-UCB, which no
+preset has.
 """
 
 from __future__ import annotations

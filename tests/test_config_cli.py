@@ -489,7 +489,8 @@ def _fresh(code: str) -> None:
 
 
 class TestScipyImport:
-    """scipy.special is loaded only where Bayes-UCB is built or scored."""
+    """scipy.special is loaded only where a beta-prior Bayes-UCB is built or
+    scored."""
 
     def test_rosters_without_bayes_ucb_never_load_scipy(self, tmp_path):
         # expt3's preset roster has Bayes-UCB; this config's own roster has not
@@ -511,6 +512,21 @@ assert main(["verify-lemmas", "--grid", "small"]) == 0
 assert "scipy.special" not in sys.modules
 """)
 
+    @pytest.mark.parametrize("preset", ["expt2", "expt3"])
+    def test_gauss_prior_bayes_ucb_presets_never_load_scipy(self, tmp_path, preset):
+        # both rosters have Bayes-UCB with the Gaussian prior, scored by the
+        # in-repo ndtri
+        _fresh(f"""
+import sys
+from eucbv.cli import main
+from eucbv.config import preset_spec
+roster = dict(preset_spec({preset!r}, runs=2, horizon=200).policies)
+assert roster["bayes-ucb"] == {{"prior": "gauss"}}
+assert main(["run", "--preset", {preset!r}, "--runs", "2", "--horizon", "200",
+             "--checkpoints", "3", "--out", {str(tmp_path)!r}]) == 0
+assert "scipy.special" not in sys.modules
+""")
+
     def test_bounds_preset_builds_no_policy(self):
         # expt3's roster has Bayes-UCB, but its bounds need only arms and T
         _fresh("""
@@ -526,18 +542,22 @@ assert main(["bounds", "--preset", "expt3"]) == 0
 assert "scipy.special" not in sys.modules
 """)
 
-    def test_bayes_ucb_roster_loads_scipy_before_any_pool(self):
-        _fresh("""
+    def test_bayes_ucb_roster_loads_scipy_before_any_pool(self, tmp_path):
+        beta = _write(tmp_path, "[experiment]\nhorizon = 200\nruns = 2\n"
+                      "checkpoints = 3\n\n[environment]\npreset = expt3\n\n"
+                      "[policy.bayes-ucb]\nprior = beta\n")
+        _fresh(f"""
 import sys
 import eucbv.simulator
-from eucbv.config import preset_spec
+from eucbv.config import load_config
 
 def no_pool(*args, **kwargs):
     raise AssertionError("a pool was created")
 
 eucbv.simulator.ProcessPoolExecutor = no_pool
-spec = preset_spec("expt3", runs=2, horizon=200)
-assert "bayes-ucb" in dict(spec.policies)
+assert "scipy.special" not in sys.modules
+spec = load_config({beta!r})
+assert dict(spec.policies) == {{"bayes-ucb": {{"prior": "beta"}}}}
 assert "scipy.special" in sys.modules
 """)
 
@@ -546,6 +566,8 @@ assert "scipy.special" in sys.modules
 import math
 import sys
 from eucbv.policies import bayes_ucb_index
+assert "scipy.special" not in sys.modules
+bayes_ucb_index(3.0, 5.0, 10, 100, "gauss")
 assert "scipy.special" not in sys.modules
 got = float(bayes_ucb_index(3.0, 5.0, 10, 100))
 from scipy import stats

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from eucbv.config import preset_testbed
 from eucbv.env import make_environment, reward_noise, sample_rewards_batch
 from eucbv.policies import (
     POLICY_IDS,
@@ -22,6 +23,7 @@ from eucbv.policies import (
     ucbv_index,
     validate_params,
 )
+from eucbv.policies.bayes import _P1, _P2, _Q1, _Q2, _horner, _level, _tail_term, ndtri
 from eucbv.policies.kl import _contends, klucb_argmax
 from eucbv.rng import DOMAIN_POLICY, StreamBatch, derive_key
 
@@ -151,6 +153,96 @@ class TestBayesUcb:
         want = sps.norm(1.2 / 5.0, math.sqrt(1.0 / 5.0)).ppf(level)
         got = float(bayes_ucb_index(1.2, 4, t, horizon, "gauss"))
         assert got == pytest.approx(want, rel=1e-9)
+
+    def test_gauss_index_equals_scipy_formula(self):
+        # sums/(1+z) + ndtri(level)/sqrt(1+z), float for float
+        from scipy.special import ndtri as scipy_ndtri
+
+        gen = np.random.default_rng(5)
+        pulls = gen.integers(0, 5000, size=(50, 100)).astype(np.float64)
+        sums = gen.normal(0.05, 0.5, size=pulls.shape) * np.sqrt(pulls)
+        for t, horizon in ((101, 400000), (2000, 2000), (299999, 300000)):
+            precision = 1.0 + pulls
+            want = sums / precision + scipy_ndtri(_level(t, horizon)) / np.sqrt(precision)
+            assert np.array_equal(bayes_ucb_index(sums, pulls, t, horizon, "gauss"), want)
+
+    def test_unknown_prior_rejected(self):
+        with pytest.raises(ValueError, match="'gaus'"):
+            bayes_ucb_index(1.2, 4, 33, 1000, "gaus")
+        with pytest.raises(ValueError, match="'gaus'"):
+            make_batch_policy("bayes-ucb", 1, 4, 100, {"prior": "gaus"})
+
+
+def _ndtri_grid() -> list:
+    """Probabilities over all three ranges of ndtri and around their edges:
+    exp(-2), 1 - exp(-2), and x = sqrt(-2 ln y) = 8 (y = exp(-32)), in both
+    tails, plus 0, the smallest subnormal and the largest float below 1."""
+    e2, e32 = math.exp(-2.0), math.exp(-32.0)
+    grid = [
+        *np.linspace(0.0, 1.0, 20001),
+        *np.logspace(-323.0, -0.5, 20000),
+        *(1.0 - np.logspace(-16.0, -0.5, 20000)),
+    ]
+    for edge in (e2, 1.0 - e2, e32, 1.0 - e32, 5e-324, np.nextafter(1.0, 0.0)):
+        below = above = float(edge)
+        for _ in range(128):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+            grid += [below, above]
+        grid.append(edge)
+    return [float(y) for y in grid]
+
+
+class TestNdtri:
+    """The in-repo ndtri returns the float ``scipy.special.ndtri`` returns:
+    compared with ==, never a tolerance."""
+
+    @staticmethod
+    def _mismatches(ys):
+        from scipy.special import ndtri as scipy_ndtri
+
+        want = scipy_ndtri(np.array(ys)).tolist()
+        return [(y, got, w) for y, got, w in zip(ys, map(ndtri, ys), want)
+                if not (got == w or (math.isnan(got) and math.isnan(w)))]
+
+    def test_every_level_of_the_presets(self):
+        # the levels 1 - 1/(t ln T) a Bayes-UCB lane asks for at t = K+1..T,
+        # at each (K, T) of expt2-expt4 at the paper horizon
+        shapes = set()
+        for preset in ("expt2", "expt3", "expt4"):
+            env, horizon = preset_testbed(preset)
+            shapes.add((env.n_arms, horizon))
+        assert shapes == {(100, 300000), (100, 400000)}
+        for n_arms, horizon in sorted(shapes):
+            levels = [_level(t, horizon) for t in range(n_arms + 1, horizon + 1)]
+            assert self._mismatches(levels) == []
+
+    def test_grid_over_every_range_and_edge(self):
+        grid = _ndtri_grid()
+        x = [math.sqrt(-2.0 * math.log(y)) for y in grid if 0.0 < y < 1.0]
+        # each range of the approximation, and the x = 8 split itself, is hit
+        assert any(math.exp(-2.0) < y < 1.0 - math.exp(-2.0) for y in grid)
+        assert any(2.0 <= v < 8.0 for v in x) and any(v > 8.0 for v in x)
+        assert 8.0 in x
+        assert self._mismatches(grid) == []
+
+    def test_tail_split_at_eight(self):
+        # Cephes takes (P1, Q1) for x < 8 and (P2, Q2) from 8 on.  At x = 8
+        # the two terms differ by an ulp that x - ln(x)/x absorbs, so
+        # ndtri's output cannot show which one ran; the term itself does.
+        def term(x, p, q):
+            return (1.0 / x) * _horner(1.0 / x, p) / _horner(1.0 / x, q)
+
+        assert term(8.0, _P1, _Q1) != term(8.0, _P2, _Q2)
+        assert _tail_term(8.0) == term(8.0, _P2, _Q2)
+        below = float(np.nextafter(8.0, 0.0))
+        assert _tail_term(below) == term(below, _P1, _Q1)
+
+    def test_outside_the_open_interval(self):
+        assert ndtri(0.0) == -math.inf
+        assert ndtri(1.0) == math.inf
+        for y in (-0.1, 1.1, math.nan, -math.inf, math.inf):
+            assert math.isnan(ndtri(y))
+        assert self._mismatches([0.0, 1.0, -0.1, 1.1, math.nan]) == []
 
 
 def _oracle_score(pid, mean, variance, pulls, t, horizon, n_arms):

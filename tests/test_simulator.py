@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from eucbv.config import preset_testbed
 from eucbv.env import make_environment, reward_noise, sample_rewards_batch
 from eucbv.policies import POLICY_IDS, BatchPolicy, make_batch_policy
 from eucbv.policies.kl import KlUcbPlusPolicy, klucb_index
@@ -176,6 +178,32 @@ class TestKlUcbEarlyExit:
         got = _run(env, _policy("klucb-plus", lanes, env.n_arms, horizon, seed),
                    horizon, seed, lanes)
         want = _run(env, _FullIndexKlUcb(runs, env.n_arms, horizon), horizon, seed, lanes)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+class _ScipyGaussBayesUcb(BatchPolicy):
+    """Gauss-prior Bayes-UCB scoring the raw sums and counts every step,
+    with ``scipy.special.ndtri`` for the normal quantile."""
+
+    def _select(self, t):
+        from scipy.special import ndtri
+
+        precision = 1.0 + self.stats.counts
+        q = ndtri(1.0 - 1.0 / (t * math.log(self.horizon)))
+        return np.argmax(self.stats.sums / precision + q / np.sqrt(precision), axis=1)
+
+
+class TestGaussBayesUcb:
+    @pytest.mark.parametrize("runs", [1, 50, 100])
+    def test_trajectory_equals_scipy_reference(self, runs):
+        # The in-repo ndtri and the per-cell posterior cache must give the
+        # pulls and per-step regret of scoring from scratch with scipy.
+        env, horizon, seed = preset_testbed("expt3")[0], 2000, 1
+        lanes = range(runs)
+        got = _run(env, _policy("bayes-ucb", lanes, env.n_arms, horizon, seed,
+                                {"prior": "gauss"}), horizon, seed, lanes)
+        want = _run(env, _ScipyGaussBayesUcb(runs, env.n_arms, horizon), horizon, seed, lanes)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
