@@ -301,9 +301,8 @@ def check_bernstein_tail(mean: float, pulls: int, epsilon_m: float, psi: float,
     if pulls < 1 or samples < 1:
         raise ValueError("pulls and samples must be >= 1")
     log_term = _clamped_log(psi * horizon * epsilon_m)
-    radius = math.sqrt(
-        rho * (mean * (1.0 - mean) + math.sqrt(epsilon_m) + 2.0) * log_term / (4.0 * pulls)
-    )
+    radius = float(confidence_radius(mean * (1.0 - mean) + math.sqrt(epsilon_m), pulls,
+                                     log_term, rho))
     bound = 2.0 / (psi * horizon * epsilon_m) ** (1.5 * rho)
     draws = rng.uniform_block(samples * pulls)[0].reshape(samples, pulls)
     means = (draws < mean).mean(axis=1)

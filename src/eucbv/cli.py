@@ -157,6 +157,8 @@ def cmd_bounds(n_arms: int, horizon: int, delta: float | None, preset: str | Non
 def cmd_verify_lemmas(grid: str, tail_samples: int | None, seed: int,
                       out_dir: Path | None) -> bool:
     """Run the lemma verifiers; returns True when no unexpected violation."""
+    if tail_samples is not None and tail_samples < 1:
+        raise ConfigValidationError(f"--tail-samples must be >= 1, got {tail_samples}")
     # the full grid is the verifiers' default one
     grid_args = {} if grid == "full" else dict(ks=(2, 8, 32), t_points=8)
     reports = [
@@ -172,7 +174,7 @@ def cmd_verify_lemmas(grid: str, tail_samples: int | None, seed: int,
             f"{rep.name}: {rep.points} points, {rep.skipped} out-of-regime, "
             f"{status}{expected}, worst margin {_fmt(rep.worst_margin)} at {rep.worst_point}"
         )
-    if tail_samples:
+    if tail_samples is not None:
         rng = StreamBatch.for_runs(seed, [0])
         psi = 60000 / 400.0
         report = bounds_mod.check_bernstein_tail(

@@ -39,7 +39,6 @@ from __future__ import annotations
 import configparser
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 from .env import BERNOULLI, GAUSSIAN, Environment, make_environment
@@ -220,13 +219,13 @@ def _build_spec(name: str, env: Environment, roster, paper_horizon: int | None, 
         raise ConfigValidationError("at least one [policy.<id>] section is required")
     for pid, params in roster:
         # A one-lane build runs every parameter check a policy makes before
-        # any policy of the roster runs; its warnings come again at run time,
-        # and it draws nothing from the stream the TS policies require.
+        # any policy of the roster runs, and it draws nothing from the stream
+        # the TS policies require.  It shows the roster's warnings, once: the
+        # chunk builds, here or in workers forked from this process, find
+        # them already shown.
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                make_batch_policy(pid, 1, env.n_arms, horizon, params,
-                                  rng=StreamBatch.for_runs(0, [0]))
+            make_batch_policy(pid, 1, env.n_arms, horizon, params,
+                              rng=StreamBatch.for_runs(0, [0]))
         except ValueError as exc:
             raise ConfigValidationError(str(exc)) from exc
     return ExperimentSpec(

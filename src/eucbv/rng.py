@@ -9,7 +9,9 @@ where ``mix64`` is the splitmix64 output finalizer and ``GOLDEN`` is the
 ``(key, j)``, a stream produces the same values no matter how its draws are
 batched, and distinct streams never interact.  Uniforms take the top 53 bits
 of ``out_j``; normals use the Box-Muller transform and consume exactly two
-uniforms each.
+uniforms each.  The finalizer is written once, on uint64 arrays
+(``_mix64_np``), and one method (``StreamBatch._bases``) forms every block's
+stream points ``key + counter * GOLDEN`` and advances the counters.
 
 The same purity means a draw that cannot change a result need not be
 computed, only counted.  ``StreamBatch.normal_argmax`` (TS-Gauss's posterior
@@ -18,10 +20,11 @@ computes every cell's radius half and the angle half only for the cells
 whose bound can reach the lane's maximum; every other method computes all
 the draws it counts.
 
-Stream keys are derived by hashing ``(master_seed, run_index, domain)``, so
-replication ``k`` of an experiment gets the same reward stream whether 10 or
-10000 runs are requested, and policy-internal randomness (domain 1) never
-collides with reward draws (domain 0).
+Stream keys are ``mix64(mix64(mix64(master_seed) ^ run_index) ^ domain)``,
+derived for all lanes at once by the same array finalizer, so replication
+``k`` of an experiment gets the same reward stream whether 10 or 10000 runs
+are requested, and policy-internal randomness (domain 1) never collides with
+reward draws (domain 0).
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ _NP_30 = np.uint64(30)
 _NP_27 = np.uint64(27)
 _NP_31 = np.uint64(31)
 _NP_11 = np.uint64(11)
-_NP_1 = np.uint64(1)
 
 # Uniforms generated and transformed per row tile in ``normal_block``: the
 # uint64 and float temporaries stay this size whatever the lane count.
@@ -63,17 +65,9 @@ PROBE_RADIUS = 2.0
 PRUNE_SLACK = 1.0 + 2.0 ** -40
 
 
-def mix64(z: int) -> int:
-    """splitmix64 output finalizer on a Python integer (mod 2**64)."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 on a uint64 array, in place (returns ``z``);
-    bit-identical to :func:`mix64`."""
+    """The splitmix64 output finalizer on a uint64 array, in place (returns
+    ``z``)."""
     z ^= z >> _NP_30
     z *= _NP_MIX_A
     z ^= z >> _NP_27
@@ -82,31 +76,12 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def derive_key(master_seed: int, run_index: int, domain: int = DOMAIN_REWARDS) -> int:
-    """Hash (master_seed, run_index, domain) into a stream key.
-
-    Each mix64 is a bijection, so distinct run indices (or domains) under one
-    master seed always map to distinct keys.
-    """
-    if run_index < 0:
-        raise ValueError("run_index must be >= 0")
-    return mix64(mix64(mix64(master_seed & _MASK64) ^ (run_index & _MASK64)) ^ domain)
-
-
 def _unit(z: np.ndarray) -> np.ndarray:
     """Uniforms in [0, 1) at the stream points ``z = key + j * GOLDEN``
     (uint64, overwritten): the top 53 bits of ``mix64(z)``."""
     z = _mix64_np(z)
     z >>= _NP_11
     return z * _INV_2_53
-
-
-def _uniforms(keys: np.ndarray, js: np.ndarray) -> np.ndarray:
-    """Uniforms for draw numbers ``js`` of the streams ``keys`` (uint64
-    arrays; ``keys`` broadcasts to the shape of ``js``)."""
-    z = js * _NP_GOLDEN
-    z += keys
-    return _unit(z)
 
 
 @functools.lru_cache(maxsize=64)
@@ -133,6 +108,15 @@ def _box_muller(u1: np.ndarray, u2: np.ndarray, out=None) -> np.ndarray:
     return _bm_angle(_bm_radius(u1), u2, out=out)
 
 
+def _sample_cells(scores, cells, points, loc, scale, radius) -> None:
+    """Write loc + scale * z into the flat cells ``cells`` of ``scores``, z
+    being the cell's normal: its radius and the angle uniform drawn right
+    after its radius uniform (stream point ``points`` + GOLDEN)."""
+    u2 = _unit(points.take(cells) + _NP_GOLDEN)
+    z = _bm_angle(radius.take(cells), u2)
+    np.put(scores, cells, loc.take(cells) + scale.take(cells) * z)
+
+
 class StreamBatch:
     """One counter-based stream per lane (lane = one replication).
 
@@ -150,8 +134,20 @@ class StreamBatch:
 
     @classmethod
     def for_runs(cls, master_seed: int, run_indices, domain: int = DOMAIN_REWARDS) -> "StreamBatch":
-        keys = [derive_key(master_seed, int(k), domain) for k in run_indices]
-        return cls(np.array(keys, dtype=np.uint64))
+        """One lane per run index, keyed by hashing (master_seed, run, domain).
+
+        Each mix64 is a bijection, so distinct run indices (or domains) under
+        one master seed always map to distinct keys.
+        """
+        runs = np.array(run_indices, dtype=np.int64).reshape(-1)
+        if runs.size and runs.min() < 0:
+            raise ValueError("run_index must be >= 0")
+        keys = np.full(runs.size, master_seed & _MASK64, dtype=np.uint64)
+        _mix64_np(keys)
+        keys ^= runs.astype(np.uint64)
+        _mix64_np(keys)
+        keys ^= np.uint64(domain)
+        return cls(_mix64_np(keys))
 
     def __len__(self) -> int:
         return self.keys.shape[0]
@@ -200,37 +196,35 @@ class StreamBatch:
         their draws) but never computed.
         """
         n_runs, n = loc.shape
-        # Draw numbers of the radius uniforms; column c's angle is the next.
-        js = self.counters[:, None] + np.arange(1, 2 * n, 2, dtype=np.uint64)
-        radius = _bm_radius(_uniforms(self.keys[:, None], js))
+        # Stream points of the radius uniforms, the odd draws of the block;
+        # column c's angle uniform is the next draw, one GOLDEN further on.
+        points = self._bases(slice(None), 2 * n)[:, None] + _golden_steps(2 * n)[0::2]
+        radius = _bm_radius(_unit(points.copy()))
         bound = radius * PRUNE_SLACK
         bound *= scale
         bound += loc
         scores = np.full((n_runs, n), -np.inf)
         probe = radius >= PROBE_RADIUS
-        self._sample_cells(scores, np.flatnonzero(probe), js, loc, scale, radius)
+        _sample_cells(scores, np.flatnonzero(probe), points, loc, scale, radius)
         rest = bound >= scores.max(axis=1, keepdims=True)
         rest &= ~probe
-        self._sample_cells(scores, np.flatnonzero(rest), js, loc, scale, radius)
-        self.counters += np.uint64(2 * n)
+        _sample_cells(scores, np.flatnonzero(rest), points, loc, scale, radius)
         return np.argmax(scores, axis=1)
 
-    def _sample_cells(self, scores, cells, js, loc, scale, radius) -> None:
-        """Write loc + scale * z into the flat cells ``cells`` of ``scores``,
-        z being the cell's normal: its radius and the angle uniform drawn
-        right after its radius uniform (draw number ``js`` + 1)."""
-        u2 = _uniforms(self.keys[cells // scores.shape[1]], js.take(cells) + _NP_1)
-        z = _bm_angle(radius.take(cells), u2)
-        np.put(scores, cells, loc.take(cells) + scale.take(cells) * z)
+    def _bases(self, rows, n: int) -> np.ndarray:
+        """The stream points key + counter * GOLDEN of the lanes ``rows`` (an
+        index array or slice), whose counters then advance past a block of
+        ``n`` draws; draw j of the block is at base + j * GOLDEN.  The only
+        code that advances ``counters``."""
+        base = self.counters[rows] * _NP_GOLDEN
+        base += self.keys[rows]
+        self.counters[rows] += np.uint64(n)
+        return base
 
     def _uniform_block_rows(self, rows, n: int) -> np.ndarray:
         """``n`` uniforms for each lane in ``rows`` (an index array or slice)
         only; shape (len(rows), n)."""
-        # key + (counter + j) * GOLDEN = (key + counter * GOLDEN) + j * GOLDEN
-        base = self.counters[rows] * _NP_GOLDEN
-        base += self.keys[rows]
-        self.counters[rows] += np.uint64(n)
-        return _unit(base[:, None] + _golden_steps(n))
+        return _unit(self._bases(rows, n)[:, None] + _golden_steps(n))
 
     def gamma_block(self, shape: np.ndarray) -> np.ndarray:
         """Gamma(shape, 1) per cell of an (R, C) shape array, shapes >= 1.

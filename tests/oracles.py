@@ -6,9 +6,10 @@ an implementation bug cannot cancel out of both sides of an assertion.  The
 one exception is the per-run round-policy references at the end (DMED,
 UCB-Improved, Median Elimination): they share only ``kl_bernoulli`` with the
 library, so the lane-vectorized policies can be checked pull for pull.  The
-scalar stream ``RngStream`` shares only ``mix64`` with the library: it draws
-one Python-int value at a time, so ``StreamBatch`` can be checked draw for
-draw.
+scalar stream (``mix64``, ``derive_key``, ``RngStream``) shares nothing with
+the library: it hashes and draws one Python-int value at a time, so
+``StreamBatch``'s array finalizer, key derivation and draws can be checked
+value for value.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from mpmath import mp, mpf
 
 from eucbv.policies.kl import kl_bernoulli as _kl_bernoulli
-from eucbv.rng import mix64
 
 mp.dps = 50
 
@@ -134,6 +134,22 @@ def bernstein_bound(psi, horizon, epsilon, rho) -> float:
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 2.0 ** -53
+
+
+def mix64(z: int) -> int:
+    """splitmix64 output finalizer on a Python integer (mod 2**64)."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def derive_key(master_seed: int, run_index: int, domain: int = 0) -> int:
+    """Stream key of (master_seed, run_index, domain): three chained mix64s.
+    Domain 0 is rewards, 1 policy randomness, 2 environment generation."""
+    if run_index < 0:
+        raise ValueError("run_index must be >= 0")
+    return mix64(mix64(mix64(master_seed & _MASK64) ^ (run_index & _MASK64)) ^ domain)
 
 
 class RngStream:

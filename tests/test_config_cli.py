@@ -470,6 +470,15 @@ preset = expt1
         assert "lemma6" in out
         assert (tmp_path / "lemma_report.txt").exists()
 
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_verify_lemmas_rejects_tail_samples_below_one(self, tmp_path, capsys, samples):
+        assert main(["verify-lemmas", "--tail-samples", samples,
+                     "--out", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "lemma_report.txt").exists()
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "eucbv", "bounds", "--K", "4", "--T", "1000",
@@ -478,6 +487,23 @@ preset = expt1
         )
         assert proc.returncode == 0
         assert "gap_dependent" in proc.stdout
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_guarantee_warning_printed_once(self, tmp_path, threads):
+        # 100 runs on 2 threads make two chunks, built in two workers; the
+        # warning shown while the spec is validated is the only one.
+        config = _write(tmp_path, "[experiment]\nhorizon = 100\nruns = 100\n"
+                        "checkpoints = 3\n\n[environment]\npreset = expt1\n\n"
+                        "[policy.eucbv]\n")
+        env = {k: v for k, v in _src_env().items() if k != "PYTHONWARNINGS"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "eucbv", "run", "--config", config,
+             "--threads", threads, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("UserWarning") == 1, proc.stderr
+        assert "the regret guarantee does not apply" in proc.stderr
 
 
 def _fresh(code: str) -> None:

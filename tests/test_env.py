@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from eucbv.env import make_environment, reward_noise, sample_rewards_batch
-from eucbv.rng import StreamBatch, derive_key
-from oracles import RngStream
+from eucbv.rng import StreamBatch
+from oracles import RngStream, derive_key
 
 
 def _lane(seed, run=0):

@@ -6,12 +6,16 @@ that matter most here: every import in ``src/eucbv`` is read somewhere in its
 module (a package ``__init__`` may instead re-export it through
 ``__all__``), every name a package exports actually resolves, and every
 private function, class or method is referenced somewhere in ``src/eucbv``.
+Two guards keep the random streams written once: the test oracle's scalar
+stream imports nothing from ``eucbv.rng``, and one method of ``rng.py``
+advances the stream counters.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -110,3 +114,56 @@ def test_no_unreferenced_private_definitions():
                   for name, line in _private_definitions(tree).items()
                   if name.rpartition(".")[2] not in referenced)
     assert not dead, f"private definitions nothing in src/eucbv references: {dead}"
+
+
+
+def test_stream_oracle_imports_nothing_from_rng():
+    # The scalar stream reference must share no code with the library's
+    # streams, or a finalizer bug would cancel out of both sides of a test.
+    path = Path(__file__).resolve().parent / "oracles.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    shared = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            shared += [a.name for a in node.names if a.name.startswith("eucbv.rng")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("eucbv"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(module, alias.name)
+                origin = (value.__name__ if inspect.ismodule(value)
+                          else getattr(value, "__module__", None))
+                if "eucbv.rng" in (node.module, origin):
+                    shared.append(f"{node.module}.{alias.name}")
+    assert not shared, f"oracles.py imports from eucbv.rng: {shared}"
+
+
+def test_one_method_advances_stream_counters():
+    # Only StreamBatch.__init__ and the point method _bases assign to
+    # ``counters``, so one piece of code counts every draw.
+    path = SRC / "rng.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    def writes_counters(target):
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(map(writes_counters, target.elts))
+        return isinstance(target, ast.Attribute) and target.attr == "counters"
+
+    functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [(f"{node.name}.{item.name}", item) for node in tree.body
+                  if isinstance(node, ast.ClassDef)
+                  for item in node.body if isinstance(item, ast.FunctionDef)]
+    writers = set()
+    for name, function in functions:
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            if any(map(writes_counters, targets)):
+                writers.add(name)
+    assert writers == {"StreamBatch.__init__", "StreamBatch._bases"}, \
+        f"functions of rng.py that assign to counters: {sorted(writers)}"

@@ -25,7 +25,8 @@ from eucbv.policies import (
 )
 from eucbv.policies.bayes import _P1, _P2, _Q1, _Q2, _horner, _level, _tail_term, ndtri
 from eucbv.policies.kl import _contends, klucb_argmax
-from eucbv.rng import DOMAIN_POLICY, StreamBatch, derive_key
+from eucbv.rng import DOMAIN_POLICY, StreamBatch
+from oracles import derive_key
 
 
 def _rng(seed=0, lanes=1):

@@ -15,7 +15,7 @@ from eucbv.policies import make_batch_policy
 from eucbv.policies.base import dominated
 from eucbv.policies.eucbv import EucbvPolicy, confidence_radius
 from eucbv.policies.kl import kl_bernoulli, klucb_argmax, klucb_index
-from eucbv.rng import StreamBatch, _mix64_np, derive_key, mix64
+from eucbv.rng import StreamBatch, _mix64_np
 from eucbv.simulator import checkpoint_times, run_batch
 from eucbv.stats import PullStats
 
@@ -62,13 +62,22 @@ def test_estimates_permutation_invariant(rewards, rnd):
 @_SETTINGS
 @given(st.integers(min_value=0, max_value=2 ** 64 - 1))
 def test_mix64_scalar_matches_vector(z):
-    assert mix64(z) == int(_mix64_np(np.array([z], dtype=np.uint64))[0])
+    assert oracles.mix64(z) == int(_mix64_np(np.array([z], dtype=np.uint64))[0])
+
+
+@_SETTINGS
+@given(st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+       st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=20),
+       st.integers(min_value=0, max_value=2))
+def test_for_runs_keys_match_scalar_derivation(seed, runs, domain):
+    keys = StreamBatch.for_runs(seed, runs, domain).keys
+    assert keys.tolist() == [oracles.derive_key(seed, run, domain) for run in runs]
 
 
 @_SETTINGS
 @given(st.integers(min_value=0, max_value=2 ** 63), st.integers(min_value=0, max_value=1000))
 def test_stream_reproducible_and_count_independent(seed, run):
-    first = oracles.RngStream(derive_key(seed, run)).uniforms(32)
+    first = oracles.RngStream(oracles.derive_key(seed, run)).uniforms(32)
     again = StreamBatch.for_runs(seed, [run]).uniform_block(32)[0]
     assert np.array_equal(first, again)
     batch = StreamBatch.for_runs(seed, range(run, run + 5))
@@ -288,6 +297,6 @@ def test_confidence_radius_monotonicity(v_hat, pulls, log_term, rho):
 @given(st.integers(min_value=0, max_value=2 ** 32), st.floats(min_value=0, max_value=1))
 def test_bernoulli_reward_support(seed, p):
     env = make_environment("bernoulli", [p, 0.5])
-    lane = StreamBatch(np.array([derive_key(seed, 0)], dtype=np.uint64))
+    lane = StreamBatch(np.array([oracles.derive_key(seed, 0)], dtype=np.uint64))
     noise = reward_noise(env, lane, 1)[:, 0]
     assert sample_rewards_batch(env, np.array([0]), noise)[0] in (0.0, 1.0)

@@ -17,10 +17,8 @@ from eucbv.rng import (
     _bm_radius,
     _box_muller,
     _mix64_np,
-    derive_key,
-    mix64,
 )
-from oracles import RngStream
+from oracles import RngStream, derive_key, mix64
 
 # Three lanes whose counters differ, so a draw that mixes up lanes or
 # counters cannot match the per-lane references.
@@ -42,6 +40,18 @@ def test_mix64_python_matches_numpy():
     assert np.array_equal(_mix64_np(values), expected)
 
 
+# splitmix64's first five outputs from state 0: mix64(j * GOLDEN), j = 1..5.
+SPLITMIX64_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+                    0xF88BB8A8724C81EC, 0x1B39896A51A8749B]
+
+
+def test_splitmix64_known_answers():
+    assert [mix64(j * 0x9E3779B97F4A7C15) for j in range(1, 6)] == SPLITMIX64_SEED0
+    want = [(out >> 11) * 2.0 ** -53 for out in SPLITMIX64_SEED0]
+    assert StreamBatch(np.array([0], dtype=np.uint64)).uniform_block(5)[0].tolist() == want
+    assert RngStream(0).uniforms(5).tolist() == want
+
+
 def test_same_key_replays_identically():
     a = StreamBatch.for_runs(7, [3])
     b = StreamBatch.for_runs(7, [3])
@@ -56,7 +66,8 @@ def test_distinct_runs_differ():
 
 
 def test_domains_do_not_collide():
-    assert derive_key(7, 0, DOMAIN_REWARDS) != derive_key(7, 0, DOMAIN_POLICY)
+    assert (StreamBatch.for_runs(7, [0], DOMAIN_REWARDS).keys
+            != StreamBatch.for_runs(7, [0], DOMAIN_POLICY).keys).all()
 
 
 def test_stream_independent_of_run_count():
@@ -68,7 +79,7 @@ def test_stream_independent_of_run_count():
 
 def test_negative_run_index_rejected():
     with pytest.raises(ValueError):
-        derive_key(1, -1)
+        StreamBatch.for_runs(1, [-1])
 
 
 def test_uniforms_block_equals_scalar_sequence():
