@@ -222,11 +222,12 @@ def _build_spec(name: str, env: Environment, roster, paper_horizon: int | None, 
         # any policy of the roster runs, and it draws nothing from the stream
         # the TS policies require.  It shows the roster's warnings, once: the
         # chunk builds, here or in workers forked from this process, find
-        # them already shown.
+        # them already shown.  A policy whose optional dependency is missing
+        # fails here too.
         try:
             make_batch_policy(pid, 1, env.n_arms, horizon, params,
                               rng=StreamBatch.for_runs(0, [0]))
-        except ValueError as exc:
+        except (ValueError, ImportError) as exc:
             raise ConfigValidationError(str(exc)) from exc
     return ExperimentSpec(
         name=name,

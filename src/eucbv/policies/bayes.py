@@ -2,7 +2,12 @@
 
 TS-Beta     Beta(1, 1) prior over {0, 1} rewards; a non-binary reward is
             Bernoulli-rounded by one coin flip with probability equal to the
-            reward clamped to [0, 1] (binary rewards consume no flip).
+            reward clamped to [0, 1] (binary rewards consume no flip).  The
+            Marsaglia-Tsang constants (``rng.gamma_constants``) of each
+            lane's 2K shapes [successes + 1 | failures + 1] are kept and
+            refreshed for the pulled arm's two cells; a step's sample is one
+            ``StreamBatch.beta_block`` on them, whose gamma trials after
+            the first compute only the rejected cells (about 1% on expt1).
 TS-Gauss    N(0, 1) prior with unit observation noise: after z pulls with
             reward sum S the posterior is N(S / (1 + z), 1 / (1 + z)).  The
             posterior mean and sd are kept per cell and refreshed for the
@@ -22,7 +27,8 @@ TS policies consume their own random stream; Bayes-UCB is deterministic.
 The Gaussian quantile comes from ``ndtri``, a port of Cephes' ndtri (the
 algorithm behind ``scipy.special.ndtri``) that returns the same float.  The
 Beta quantile comes from ``scipy.special.betaincinv``, the package's only
-scipy use.  scipy is imported on first use, by a beta-prior
+scipy use, which makes scipy an optional dependency (the ``beta`` extra).
+scipy is imported on first use, by a beta-prior
 ``BayesUcbPolicy.__init__`` or ``bayes_ucb_index``, so a roster without a
 beta-prior Bayes-UCB (every preset) never loads it.  Config validation
 builds every roster policy before a run, so a run that has one imports
@@ -38,6 +44,7 @@ import math
 
 import numpy as np
 
+from ..rng import gamma_constants
 from .base import BatchPolicy
 
 
@@ -123,9 +130,14 @@ def _tail_term(x: float) -> float:
 
 @functools.cache
 def _special():
-    """``scipy.special``, imported on the first call."""
-    import scipy.special
-
+    """``scipy.special``, imported on the first call.  scipy is an optional
+    dependency (the ``beta`` extra), so its absence raises an ImportError
+    that names the policy needing it."""
+    try:
+        import scipy.special
+    except ImportError as exc:
+        raise ImportError("bayes-ucb with prior 'beta' needs scipy, which is not "
+                          "installed (pip install 'eucbv[beta]')") from exc
     return scipy.special
 
 
@@ -163,11 +175,12 @@ class TsBetaPolicy(BatchPolicy):
         if rng is None:
             raise ValueError("ts-beta needs a policy random stream")
         self.successes = np.zeros((n_runs, n_arms), dtype=np.float64)
+        # Marsaglia-Tsang constants of the (R, 2K) Beta shapes
+        # [successes + 1 | failures + 1], refreshed for the pulled cells
+        self._d, self._c = gamma_constants(np.ones((n_runs, 2 * n_arms)))
 
     def _select(self, t):
-        failures = self.stats.counts - self.successes
-        samples = self.rng.beta_block(self.successes + 1.0, failures + 1.0)
-        return np.argmax(samples, axis=1)
+        return np.argmax(self.rng.beta_block(self._d, self._c), axis=1)
 
     def _after_update(self, t, cells, rewards):
         binary = (rewards == 0.0) | (rewards == 1.0)
@@ -176,7 +189,15 @@ class TsBetaPolicy(BatchPolicy):
         if lanes.size:
             u = self.rng.uniform_lanes(lanes)
             outcomes[lanes] = (u < np.clip(rewards[lanes], 0.0, 1.0)).astype(np.float64)
-        np.put(self.successes, cells, np.take(self.successes, cells) + outcomes)
+        successes = np.take(self.successes, cells) + outcomes
+        np.put(self.successes, cells, successes)
+        failures = np.take(self.stats.counts, cells) - successes
+        # lane r's cell r*K + arm has its a shape at r*2K + arm, b K later
+        a_cells = cells + cells // self.n_arms * self.n_arms
+        both = np.concatenate([a_cells, a_cells + self.n_arms])
+        d, c = gamma_constants(np.concatenate([successes + 1.0, failures + 1.0]))
+        np.put(self._d, both, d)
+        np.put(self._c, both, c)
 
 
 class TsGaussPolicy(BatchPolicy):

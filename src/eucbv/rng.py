@@ -17,8 +17,10 @@ The same purity means a draw that cannot change a result need not be
 computed, only counted.  ``StreamBatch.normal_argmax`` (TS-Gauss's posterior
 sample) advances each lane's counter past a whole block of normals but
 computes every cell's radius half and the angle half only for the cells
-whose bound can reach the lane's maximum; every other method computes all
-the draws it counts.
+whose bound can reach the lane's maximum.  ``StreamBatch.gamma_block``
+(TS-Beta's) counts 3C uniforms per lane for each Marsaglia-Tsang trial the
+lane takes, but after the first trial it computes only the cells still
+pending.  Every other method computes all the draws it counts.
 
 Stream keys are ``mix64(mix64(mix64(master_seed) ^ run_index) ^ domain)``,
 derived for all lanes at once by the same array finalizer, so replication
@@ -115,6 +117,39 @@ def _sample_cells(scores, cells, points, loc, scale, radius) -> None:
     u2 = _unit(points.take(cells) + _NP_GOLDEN)
     z = _bm_angle(radius.take(cells), u2)
     np.put(scores, cells, loc.take(cells) + scale.take(cells) * z)
+
+
+def gamma_constants(shape) -> tuple:
+    """Marsaglia-Tsang's d = shape - 1/3 and c = 1/sqrt(9 d) per cell of a
+    shape array, the inputs of ``StreamBatch.gamma_block``.  Every shape
+    must be finite and >= 1: a nan or infinite shape never passes the
+    acceptance test, so its trials would never end."""
+    shape = np.asarray(shape, dtype=np.float64)
+    if not np.all(np.isfinite(shape) & (shape >= 1.0)):
+        raise ValueError("gamma shape parameters must be finite and >= 1")
+    d = shape - 1.0 / 3.0
+    return d, 1.0 / np.sqrt(9.0 * d)
+
+
+def _mt_trial(u: np.ndarray, d: np.ndarray, c: np.ndarray) -> tuple:
+    """One Marsaglia-Tsang trial per cell from its uniforms u[0], u[1] (the
+    normal x) and u[2] (the test); ``u`` is overwritten.  Returns the sample
+    d*v, v = (1 + c x)^3, and whether the cell accepts:
+    ln u3 < x^2/2 + d - d v + d ln v.  A v <= 0 makes ln v nan or -inf, and
+    the test false."""
+    x = _box_muller(u[0], u[1], out=u[1])
+    v = c * x
+    v += 1.0
+    np.power(v, 3, out=v)
+    sample = d * v
+    bound = 0.5 * x
+    bound *= x
+    bound += d
+    bound -= sample
+    log_v = np.log(v, out=v)
+    log_v *= d
+    bound += log_v
+    return sample, np.log(u[2], out=u[2]) < bound
 
 
 class StreamBatch:
@@ -214,8 +249,11 @@ class StreamBatch:
     def _bases(self, rows, n: int) -> np.ndarray:
         """The stream points key + counter * GOLDEN of the lanes ``rows`` (an
         index array or slice), whose counters then advance past a block of
-        ``n`` draws; draw j of the block is at base + j * GOLDEN.  The only
-        code that advances ``counters``."""
+        ``n`` draws; draw j of the block is at base + j * GOLDEN.  An index
+        array may repeat a lane: each repeat gets the same base, and the
+        lane's counter advances once (numpy's ``+=`` through repeated
+        indices writes each element once).  The only code that advances
+        ``counters``."""
         base = self.counters[rows] * _NP_GOLDEN
         base += self.keys[rows]
         self.counters[rows] += np.uint64(n)
@@ -226,50 +264,44 @@ class StreamBatch:
         only; shape (len(rows), n)."""
         return _unit(self._bases(rows, n)[:, None] + _golden_steps(n))
 
-    def gamma_block(self, shape: np.ndarray) -> np.ndarray:
-        """Gamma(shape, 1) per cell of an (R, C) shape array, shapes >= 1.
+    def gamma_block(self, d: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Gamma(shape, 1) per cell of an (R, C) shape array, given its
+        Marsaglia-Tsang constants ``d, c = gamma_constants(shape)``.
 
-        Marsaglia-Tsang squeeze, one whole-row trial at a time: each pass a
-        lane with any still-pending cell draws 3*C uniforms (u1 block, u2
-        block, u3 block) and every cell re-tests; accepted cells keep their
+        Marsaglia-Tsang squeeze in whole-row trials: each trial a lane with
+        any still-pending cell counts 3*C uniforms (u1 block, u2 block, u3
+        block; cell j reads draws j, C + j and 2C + j), and a cell keeps its
         first accepted value.  A lane's total consumption therefore depends
-        only on its own rejections, never on batch mates.
+        only on its own rejections, never on batch mates.  Every lane's
+        first trial is drawn whole, as contiguous (3, R, C) planes; a later
+        trial computes only the cells still pending (about 1% of them), but
+        its lane's counter advances past the whole row.
         """
-        shape = np.asarray(shape, dtype=np.float64)
-        if np.any(shape < 1.0):
-            raise ValueError("gamma_block requires shape parameters >= 1")
-        n_runs, n_cols = shape.shape
-        d = shape - 1.0 / 3.0
-        c = 1.0 / np.sqrt(9.0 * d)
-        out = np.empty_like(d)
-        pending = np.ones((n_runs, n_cols), dtype=bool)
-        # The first pass draws for every lane through whole-array views;
-        # later passes gather the lanes still pending.
-        lanes, rows = np.arange(n_runs), slice(None)
+        n_runs, n = d.shape
+        steps = _golden_steps(3 * n).reshape(3, 1, n)
         with np.errstate(divide="ignore", invalid="ignore"):
-            while lanes.size:
-                u = self._uniform_block_rows(rows, 3 * n_cols)
-                x = _box_muller(u[:, :n_cols], u[:, n_cols:2 * n_cols])
-                dd = d[rows]
-                v = (1.0 + c[rows] * x) ** 3
-                accept = pending[rows] & (v > 0.0) & (
-                    np.log(u[:, 2 * n_cols:]) < 0.5 * x * x + dd - dd * v
-                    + dd * np.log(np.where(v > 0.0, v, 1.0))
-                )
-                sub_out = out[rows]
-                np.copyto(sub_out, dd * v, where=accept)
-                out[rows] = sub_out
-                sub_pend = pending[rows] & ~accept
-                pending[rows] = sub_pend
-                lanes = rows = lanes[sub_pend.any(axis=1)]
+            base = self._bases(slice(None), 3 * n)
+            # a rejected cell's sample is written over by the trial that
+            # accepts it, so each trial writes all of its cells
+            out, accept = _mt_trial(_unit(base[:, None] + steps), d, c)
+            cells = np.flatnonzero(~accept)
+            while cells.size:
+                rows, cols = np.divmod(cells, n)
+                # a lane with several pending cells advances once per trial
+                points = self._bases(rows, 3 * n) + steps[:, 0, cols]
+                sample, accept = _mt_trial(_unit(points), d.take(cells), c.take(cells))
+                np.put(out, cells, sample)
+                cells = cells[~accept]
         return out
 
-    def beta_block(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Beta(a, b) per cell, a,b >= 1, via the two-gamma ratio.
+    def beta_block(self, d: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Beta(a, b) per cell of (R, C) arrays a, b >= 1, via the two-gamma
+        ratio X / (X + Y), given the (R, 2C) constants
+        ``d, c = gamma_constants([a | b])`` (each row a's C cells, then b's).
 
-        Both gamma batches are drawn in one fused block (a's cells followed
-        by b's within each trial row).
+        Both gamma batches are drawn in one fused block.
         """
-        both = self.gamma_block(np.concatenate([a, b], axis=1))
-        n_cols = a.shape[1]
-        return both[:, :n_cols] / (both[:, :n_cols] + both[:, n_cols:])
+        both = self.gamma_block(d, c)
+        n_cols = both.shape[1] // 2
+        x = both[:, :n_cols]
+        return x / (x + both[:, n_cols:])

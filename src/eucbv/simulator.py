@@ -19,18 +19,24 @@ of it at a time into rewards (``sample_rewards_batch``).  Each draw of a
 counter-based stream depends only on (key, j), so the values, and every
 lane's final counter, equal those of per-step draws.  Policies may keep
 per-cell caches (MOSS and OCUCB indices, EUCBV upper and lower bounds,
-TS-Gauss posterior means and sds); they evaluate the same expressions on the
-same inputs, so they are exact by construction.
+TS-Gauss posterior means and sds, TS-Beta's Marsaglia-Tsang constants d and
+c of its 2K Beta shapes); they evaluate the same expressions on the same
+inputs, so they are exact by construction.
 
-Selection reads only each lane's argmax, and two policies skip the work that
-cannot change it.  TS-Gauss draws its K posterior samples per lane with
+Three policies skip work that cannot change a result.  Selection reads
+only each lane's argmax, and two of them skip the work that cannot change
+it.  TS-Gauss draws its K posterior samples per lane with
 ``StreamBatch.normal_argmax``: every lane's policy counter advances by 2K as
 a full normal block would, but only the samples that can be the lane's
 maximum are computed.  KL-UCB+ selects with ``klucb_argmax``: it bisects
 only the cells whose bracket can still reach the lane's best, folds cells
 whose bisection state repeats a lower column's, and stops once every lane
 has one cell left.  Both choices are those of the full computation, ties
-included, and both read only the lane's own row.
+included, and both read only the lane's own row.  TS-Beta computes every
+sample, but a cell that has accepted needs none of its later trials: after
+the first Marsaglia-Tsang trial, ``StreamBatch.gamma_block`` computes only
+the rejected cells, while each lane's counter advances 3 * 2K per trial as
+whole-row trials would, so its samples are those of whole-row trials.
 """
 
 from __future__ import annotations

@@ -205,6 +205,40 @@ def gamma_row(stream: RngStream, shape) -> np.ndarray:
     return out
 
 
+def gamma_rows(batch, shape) -> np.ndarray:
+    """``StreamBatch.gamma_block`` of the (R, C) array ``shape`` on the
+    lanes of ``batch``, written as whole-row trials: each trial every lane
+    with a pending cell draws its 3*C uniforms through the batch's own
+    ``uniform_block``, every cell of the row is computed and re-tested, and
+    a cell keeps its first accepted value.  The float expressions are the
+    library's, term for term; only the retry cut is absent."""
+    shape = np.asarray(shape, dtype=np.float64)
+    n_runs, n = shape.shape
+    d = shape - 1.0 / 3.0
+    c = 1.0 / np.sqrt(9.0 * d)
+    out = np.full((n_runs, n), np.nan)
+    pending = np.ones((n_runs, n), dtype=bool)
+    lanes = np.arange(n_runs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while lanes.size:
+            rows = type(batch)(batch.keys[lanes])
+            rows.counters[:] = batch.counters[lanes]
+            u = rows.uniform_block(3 * n)
+            batch.counters[lanes] = rows.counters
+            x = np.sqrt(-2.0 * np.log1p(-u[:, :n])) * np.cos(2.0 * np.pi * u[:, n:2 * n])
+            dd = d[lanes]
+            v = (1.0 + c[lanes] * x) ** 3
+            accept = pending[lanes] & (v > 0.0) & (
+                np.log(u[:, 2 * n:]) < 0.5 * x * x + dd - dd * v
+                + dd * np.log(np.where(v > 0.0, v, 1.0)))
+            won = np.zeros_like(pending)
+            won[lanes] = accept
+            out[won] = (dd * v)[accept]
+            pending &= ~won
+            lanes = lanes[pending[lanes].any(axis=1)]
+    return out
+
+
 # Per-run scalar transcriptions of the round-structured policies: one
 # select(t) -> arm / update(arm, reward) pair per step, with the queues and
 # active sets kept as Python lists.

@@ -601,6 +601,31 @@ level = 1.0 - 1.0 / (10 * math.log(100))
 assert math.isclose(got, stats.beta(4.0, 3.0).ppf(level), rel_tol=1e-9), got
 """)
 
+    def test_beta_prior_without_scipy_exits_before_any_policy_runs(self, tmp_path):
+        # scipy is the optional ``beta`` extra; with it hidden from the import
+        # system, validation refuses the roster with one error line
+        beta = _write(tmp_path, "[experiment]\nname = beta\nhorizon = 200\nruns = 2\n"
+                      "checkpoints = 3\n\n[environment]\npreset = expt1\n\n"
+                      "[policy.ucb1]\n\n[policy.bayes-ucb]\nprior = beta\n")
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-c", f"""
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {{name!r}}", name=name)
+
+sys.meta_path.insert(0, NoScipy())
+from eucbv.cli import main
+sys.exit(main(["run", "--config", {beta!r}, "--out", {str(out)!r}]))
+"""], capture_output=True, text=True, env=_src_env())
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "scipy" in lines[0] and "eucbv[beta]" in lines[0]
+        assert not out.exists()
+
 
 class TestSetupProbe:
     """The benchmark's set-up probe (perfbench/setup_probe.py, run as the

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from eucbv.config import preset_testbed
@@ -23,9 +24,12 @@ from eucbv.policies import (
     ucbv_index,
     validate_params,
 )
-from eucbv.policies.bayes import _P1, _P2, _Q1, _Q2, _horner, _level, _tail_term, ndtri
+from eucbv.policies.bayes import (
+    _P1, _P2, _Q1, _Q2, TsBetaPolicy, _horner, _level, _tail_term, ndtri,
+)
 from eucbv.policies.kl import _contends, klucb_argmax
-from eucbv.rng import DOMAIN_POLICY, StreamBatch
+from eucbv.rng import DOMAIN_POLICY, StreamBatch, gamma_constants
+from eucbv.simulator import checkpoint_times, run_batch
 from oracles import derive_key
 
 
@@ -47,8 +51,8 @@ class TestIndexFormulas:
     def test_ts_beta_flat_prior_is_uniform(self):
         # An unpulled arm's TS-Beta sample is one Beta(1, 1) cell draw.
         lane = _rng(1)
-        ones = np.ones((1, 1))
-        xs = np.array([lane.beta_block(ones, ones)[0, 0] for _ in range(2000)])
+        d, c = gamma_constants(np.ones((1, 2)))
+        xs = np.array([lane.beta_block(d, c)[0, 0] for _ in range(2000)])
         assert (xs > 0).all() and (xs < 1).all()
         assert abs(xs.mean() - 0.5) < 0.03
         assert abs(np.quantile(xs, 0.25) - 0.25) < 0.04
@@ -398,6 +402,59 @@ class TestTsPolicies:
         # arm 0 posterior ~ N(400/401, 1/401), arm 1 still ~ N(0, 1): arm 0
         # wins whenever the prior sample stays below ~1, i.e. ~84% of draws
         assert samples.mean() > 0.75
+
+
+class _RowTrialTsBeta(TsBetaPolicy):
+    """TS-Beta sampling from shapes rebuilt every step, by whole-row
+    Marsaglia-Tsang trials (``oracles.gamma_rows``)."""
+
+    def _select(self, t):
+        a = self.successes + 1.0
+        b = self.stats.counts - self.successes + 1.0
+        both = oracles.gamma_rows(self.rng, np.concatenate([a, b], axis=1))
+        x = both[:, :self.n_arms]
+        return np.argmax(x / (x + both[:, self.n_arms:]), axis=1)
+
+
+class TestTsBetaSampler:
+    """TS-Beta's cached Marsaglia-Tsang constants and pending-cell retries
+    give the draws of fresh shapes and whole-row trials."""
+
+    @pytest.mark.parametrize("lanes", [1, 50, 100])
+    def test_trajectory_equals_row_trial_reference(self, lanes):
+        env, _ = preset_testbed("expt1")
+        horizon = 2000
+        every_step = checkpoint_times(horizon, horizon)
+        runs = []
+        for cls in (TsBetaPolicy, _RowTrialTsBeta):
+            rng = StreamBatch.for_runs(1, range(lanes), DOMAIN_POLICY)
+            policy = cls(lanes, env.n_arms, horizon, rng=rng)
+            curves, pulls, _ = run_batch(env, policy, horizon,
+                                         StreamBatch.for_runs(1, range(lanes)), every_step)
+            runs.append((curves, pulls, rng.counters))
+        (curves, pulls, counters), (ref_curves, ref_pulls, ref_counters) = runs
+        assert np.array_equal(pulls, ref_pulls)
+        assert np.array_equal(curves, ref_curves)  # the regret after every step
+        assert np.array_equal(counters, ref_counters)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=4), st.integers(min_value=2, max_value=6),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_cached_constants_equal_fresh(self, lanes, n_arms, seed):
+        rng = np.random.default_rng(seed)
+        policy = make_batch_policy("ts-beta", lanes, n_arms, 80,
+                                   rng=StreamBatch.for_runs(seed, range(lanes), DOMAIN_POLICY))
+        for t in range(1, 81):
+            arms = policy.select(t)
+            # binary rewards, and others that TS-Beta Bernoulli-rounds
+            rewards = np.where(rng.random(lanes) < 0.5, rng.integers(0, 2, size=lanes),
+                               rng.random(lanes))
+            policy.update(t, arms, rewards)
+            s = policy.successes
+            d, c = gamma_constants(
+                np.concatenate([s + 1.0, policy.stats.counts - s + 1.0], axis=1))
+            assert np.array_equal(policy._d, d)
+            assert np.array_equal(policy._c, c)
 
 
 def _replay_against_reference(pid, refs, means, horizon, params=None, seed=29):

@@ -17,6 +17,7 @@ from eucbv.rng import (
     _bm_radius,
     _box_muller,
     _mix64_np,
+    gamma_constants,
 )
 from oracles import RngStream, derive_key, mix64
 
@@ -219,7 +220,7 @@ def test_gamma_block_matches_scalar_reference():
     # shape 1 rejects often, so the lanes run different numbers of trials
     batch, refs = _three_lanes()
     shape = np.array([[1.0, 2.5, 7.0, 1.0]] * 3)
-    got = batch.gamma_block(shape)
+    got = batch.gamma_block(*gamma_constants(shape))
     for lane, ref in enumerate(refs):
         assert got[lane].tolist() == oracles.gamma_row(ref, shape[lane]).tolist()
     assert batch.counters.tolist() == [ref.counter for ref in refs]
@@ -258,8 +259,8 @@ def test_lane_sequence_unaffected_by_batch_mates():
     a = np.full((1, 6), 1.0)
     b = np.full((20, 6), 1.0)
     # shape-1 gammas reject most often, maximizing desynchronization pressure
-    ga = alone.gamma_block(a)
-    gb = together.gamma_block(b)
+    ga = alone.gamma_block(*gamma_constants(a))
+    gb = together.gamma_block(*gamma_constants(b))
     assert np.array_equal(ga[0], gb[7])
     assert int(alone.counters[0]) == int(together.counters[7])
 
@@ -279,22 +280,66 @@ def test_normal_block_distribution():
 def test_gamma_block_distribution_and_positivity():
     batch = StreamBatch.for_runs(31, range(100))
     shape = np.full((100, 40), 2.5)
-    g = batch.gamma_block(shape).ravel()
+    g = batch.gamma_block(*gamma_constants(shape)).ravel()
     assert (g > 0.0).all()
     assert sps.kstest(g, sps.gamma(2.5).cdf).pvalue > 1e-4
 
 
 def test_gamma_block_rejects_shape_below_one():
-    batch = StreamBatch.for_runs(31, range(2))
     with pytest.raises(ValueError):
-        batch.gamma_block(np.full((2, 2), 0.5))
+        gamma_constants(np.full((2, 2), 0.5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_gamma_constants_rejects_non_finite_shapes(bad):
+    # no trial ever accepts a nan or infinite shape, so gamma_block would
+    # never return; the constants are refused before any draw
+    shape = np.full((2, 3), 2.0)
+    shape[1, 2] = bad
+    with pytest.raises(ValueError):
+        gamma_constants(shape)
+    with pytest.raises(ValueError):
+        gamma_constants(np.full((2, 3), bad))
+
+
+def _shape_states(rng):
+    """(R, C) shape arrays for gamma_block: TS-Beta's integer shapes up to
+    expt1's reach, real shapes, and rows of shape 1, the shape rejected most."""
+    yield np.ones((1, 2))
+    yield np.ones((30, 40))
+    for lanes, cols in ((1, 40), (7, 3), (50, 40), (100, 40)):
+        yield rng.integers(1, 1205, size=(lanes, cols)).astype(np.float64)
+        shape = 1.0 + 30.0 * rng.random((lanes, cols))
+        yield np.where(rng.random((lanes, cols)) < 0.5, 1.0, shape)
+
+
+def test_gamma_block_equals_row_trial_reference():
+    # The retries draw only the pending cells; the values and every lane's
+    # counter must equal whole-row trials, at random counters and over
+    # consecutive calls.
+    rng = np.random.default_rng(12)
+    most_trials = 0
+    for case, shape in enumerate(_shape_states(rng)):
+        lanes, cols = shape.shape
+        batch = StreamBatch.for_runs(case, range(lanes), DOMAIN_POLICY)
+        batch.counters[:] = rng.integers(0, 10 ** 6, size=lanes)
+        ref = StreamBatch(batch.keys.copy())
+        ref.counters[:] = batch.counters
+        for _ in range(4):
+            start = batch.counters.copy()
+            got = batch.gamma_block(*gamma_constants(shape))
+            want = oracles.gamma_rows(ref, shape)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), case
+            assert np.array_equal(batch.counters, ref.counters), case
+            most_trials = max(most_trials, int((batch.counters - start).max()) // (3 * cols))
+    assert most_trials >= 3
 
 
 def test_beta_block_distribution_and_support():
     batch = StreamBatch.for_runs(37, range(100))
     a = np.full((100, 30), 3.0)
     b = np.full((100, 30), 7.0)
-    x = batch.beta_block(a, b).ravel()
+    x = batch.beta_block(*gamma_constants(np.concatenate([a, b], axis=1))).ravel()
     assert (x > 0.0).all() and (x < 1.0).all()
     assert sps.kstest(x, sps.beta(3, 7).cdf).pvalue > 1e-4
 
@@ -302,5 +347,5 @@ def test_beta_block_distribution_and_support():
 def test_beta_flat_prior_is_uniform():
     batch = StreamBatch.for_runs(41, range(100))
     ones = np.ones((100, 20))
-    x = batch.beta_block(ones, ones).ravel()
+    x = batch.beta_block(*gamma_constants(np.concatenate([ones, ones], axis=1))).ravel()
     assert sps.kstest(x, sps.uniform.cdf).pvalue > 1e-4
