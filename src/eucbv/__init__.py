@@ -3,7 +3,7 @@ replication harness, regret-bound calculators, and lemma verifiers."""
 
 from .env import Environment, make_environment, reward_noise, sample_rewards_batch
 from .rng import StreamBatch
-from .simulator import AggregateCurve, run_batch, run_many
+from .simulator import AggregateCurve, run_batch, run_many, run_roster
 from .stats import PullStats
 
 __version__ = "0.1.0"
@@ -18,5 +18,6 @@ __all__ = [
     "AggregateCurve",
     "run_batch",
     "run_many",
+    "run_roster",
     "__version__",
 ]

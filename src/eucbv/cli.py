@@ -25,7 +25,6 @@ import argparse
 import math
 import os
 import sys
-import time
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -41,7 +40,7 @@ from .config import (
 )
 from .env import GAUSSIAN, make_environment
 from .rng import StreamBatch
-from .simulator import run_many
+from .simulator import run_roster
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -73,20 +72,18 @@ def cmd_run(spec: ExperimentSpec, out_dir: Path, threads: int = 1) -> list:
     """Run every policy in the spec and write the curves and summary CSVs."""
     env = spec.environment()
     out_dir.mkdir(parents=True, exist_ok=True)
-    aggregates = []
-    for policy_id, params in spec.policies:
-        t0 = time.perf_counter()
-        agg = run_many(
-            env, (policy_id, params), spec.horizon, spec.runs, spec.master_seed,
-            threads=threads, n_checkpoints=spec.checkpoints,
-        )
+
+    def report(agg, seconds):
         print(
-            f"[{spec.name}] {policy_id}: {spec.runs} runs, final regret "
-            f"{_fmt(agg.final_mean)} +- {_fmt(agg.final_stderr)} "
-            f"({time.perf_counter() - t0:.1f}s)",
+            f"[{spec.name}] {agg.policy_id}: {spec.runs} runs, final regret "
+            f"{_fmt(agg.final_mean)} +- {_fmt(agg.final_stderr)} ({seconds:.1f}s)",
             file=sys.stderr,
         )
-        aggregates.append(agg)
+
+    aggregates = run_roster(
+        env, spec.policies, spec.horizon, spec.runs, spec.master_seed,
+        threads=threads, n_checkpoints=spec.checkpoints, progress=report,
+    )
 
     curve_rows = []
     for agg in sorted(aggregates, key=lambda a: a.policy_id):
@@ -208,7 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, help="override the master seed")
     p_run.add_argument("--env-seed", type=int, help="override the environment seed")
     p_run.add_argument("--checkpoints", type=int, help="override checkpoint count")
-    p_run.add_argument("--threads", type=int, default=1, help="worker processes")
+    p_run.add_argument("--threads", type=int, default=1, metavar="N",
+                       help="at most N worker processes at once; policies run side by side")
     p_run.add_argument("--out", default="results", help="output directory")
 
     p_bounds = sub.add_parser("bounds", help="evaluate regret bounds")
@@ -233,14 +231,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
+            # checked first: building the spec may already print its warnings
+            if args.threads < 1:
+                raise ConfigValidationError("--threads must be >= 1")
             overrides = dict(runs=args.runs, horizon=args.horizon, master_seed=args.seed,
                              env_seed=args.env_seed, checkpoints=args.checkpoints)
             if args.config:
                 spec = load_config(args.config, **overrides)
             else:
                 spec = preset_spec(args.preset, **overrides)
-            if args.threads < 1:
-                raise ConfigValidationError("--threads must be >= 1")
             cmd_run(spec, Path(args.out), threads=args.threads)
             return EXIT_OK
         if args.command == "bounds":

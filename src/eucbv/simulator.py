@@ -8,10 +8,20 @@ Replications are bit-reproducible and partition-independent: run k always
 consumes the streams derived from (master_seed, k), whether executed alone
 (a one-lane batch), inside a batch, serially, or across worker processes.
 No computation reads across lanes, so a lane's trajectory never depends on
-its batch mates or on the batch width.  run_many therefore sizes its chunks
-from the work, ceil(runs / threads) lanes clamped to [CHUNK_FLOOR,
-CHUNK_CAP], and merges results by run index, so the aggregate bytes never
-depend on the degree of parallelism.
+its batch mates or on the batch width.  run_roster therefore sizes its
+chunks from the work and merges results by run index, so the aggregate bytes
+never depend on the degree of parallelism.  ``--threads N`` is a budget of
+at most N worker processes at once.  A policy needs ceil(runs / CHUNK_CAP)
+workers to run its full-width chunks side by side, so up to
+N // that many policies (at least one, at most all) run at once, each in its
+own process pool of N // slots workers, and each policy's chunks are
+ceil(runs / workers) lanes, clamped to [CHUNK_FLOOR, CHUNK_CAP].  A roster
+of 8 policies with 100 runs at N = 2 thus runs two single-worker pools at a
+time with one 100-lane chunk each; with 400 runs at N = 8, two 4-worker
+pools with four 100-lane chunks each.  A lone policy splits its 100 runs at
+N = 2 into two 50-lane chunks.  The per-call cost of numpy makes the wide
+chunk the cheaper one per lane-step.  When no two chunks could run at once
+(one slot, one chunk) everything runs in this process.
 
 run_batch draws each lane's reward noise (``reward_noise``) in blocks of
 NOISE_BLOCK_STEPS steps, the last one cut at the horizon, and turns one step
@@ -41,7 +51,10 @@ whole-row trials would, so its samples are those of whole-row trials.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import time
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +72,15 @@ DEFAULT_CHECKPOINTS = 200
 CHUNK_FLOOR = 50
 CHUNK_CAP = 100
 NOISE_BLOCK_STEPS = 128  # reward-noise steps fetched per lane at once
+
+# Pool workers are forked, so they start without re-importing the package,
+# whatever the platform's default start method (forkserver on Linux from
+# Python 3.14).  A pool started while another is live forks beside that
+# pool's helper threads, which Python 3.12+ reports with a
+# DeprecationWarning.  Each worker uses only its own pool's queues, and
+# multiprocessing re-creates the locks of inherited queues in every child.
+_FORK = (multiprocessing.get_context("fork")
+         if "fork" in multiprocessing.get_all_start_methods() else None)
 
 
 @dataclass(frozen=True)
@@ -129,36 +151,96 @@ def _simulate_chunk(args):
     return lo, run_batch(env, policy, horizon, reward_streams, ck)[0]
 
 
-def run_many(env: Environment, policy, horizon: int, runs: int, master_seed: int, *,
-             threads: int = 1,
-             n_checkpoints: int = DEFAULT_CHECKPOINTS) -> AggregateCurve:
-    """Aggregate ``runs`` independent replications of one policy.
+def run_roster(env: Environment, policies, horizon: int, runs: int, master_seed: int, *,
+               threads: int = 1, n_checkpoints: int = DEFAULT_CHECKPOINTS,
+               progress=None) -> list:
+    """Aggregate ``runs`` independent replications of each policy, in roster order.
 
-    ``policy`` is an (id, params) pair; params may be None.
-    Replication k uses the reward and policy streams derived from
-    (master_seed, k).  The aggregate is invariant to ``threads``.
+    ``policies`` holds (id, params) pairs; params may be None.  Replication
+    k of every policy uses the reward and policy streams derived from
+    (master_seed, k), so the aggregates are invariant to ``threads``.
+
+    At ``threads`` 1 every chunk runs in this process.  Above 1, up to
+    ``slots`` policies run at once, each in its own process pool of
+    ``threads // slots`` workers; ``slots`` is as many policies as the
+    budget holds at ceil(runs / CHUNK_CAP) workers each, at least one and
+    at most all.  A single slot with a single chunk also runs in this
+    process, as nothing would run beside it.  When a pool's chunks
+    are done it is shut down and the next policy's pool starts, in roster
+    order.  If a chunk raises, every live pool is shut down and its queued
+    chunks are cancelled before the error propagates.
+
+    ``progress(aggregate, seconds)``, if given, is called once per policy in
+    roster order, as soon as that policy and every earlier one are done;
+    ``seconds`` is the wall time from the policy's start to its aggregate.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     ck = checkpoint_times(horizon, n_checkpoints)
-    policy_id, params = policy
-    width = chunk_width(runs, threads)
-    tasks = [
-        (env, policy_id, params, horizon, master_seed, lo, min(lo + width, runs), ck)
-        for lo in range(0, runs, width)
-    ]
-    curves = np.empty((runs, len(ck)), dtype=np.float64)
-    if threads <= 1 or len(tasks) == 1:
-        results = map(_simulate_chunk, tasks)
-    else:
-        pool = ProcessPoolExecutor(max_workers=min(threads, len(tasks)))
-        try:
-            results = list(pool.map(_simulate_chunk, tasks))
-        finally:
-            pool.shutdown()
-    for lo, chunk_curves in results:
-        curves[lo:lo + chunk_curves.shape[0]] = chunk_curves
-    return _aggregate(policy_id, curves, ck)
+    slots = max(1, min(len(policies), threads // -(-runs // CHUNK_CAP)))
+    workers = max(1, threads // slots)
+    width = chunk_width(runs, workers)
+    spans = [(lo, min(lo + width, runs)) for lo in range(0, runs, width)]
+    done = [None] * len(policies)   # (aggregate, seconds) per finished policy
+    reported = 0
+
+    def chunks(i):
+        policy_id, params = policies[i]
+        return [(env, policy_id, params, horizon, master_seed, lo, hi, ck)
+                for lo, hi in spans]
+
+    def finish(i, results, start):
+        nonlocal reported
+        curves = np.empty((runs, len(ck)), dtype=np.float64)
+        for lo, chunk_curves in results:
+            curves[lo:lo + chunk_curves.shape[0]] = chunk_curves
+        done[i] = _aggregate(policies[i][0], curves, ck), time.perf_counter() - start
+        while reported < len(done) and done[reported] is not None:
+            if progress is not None:
+                progress(*done[reported])
+            reported += 1
+
+    if threads <= 1 or (slots == 1 and len(spans) == 1):
+        for i in range(len(policies)):
+            start = time.perf_counter()
+            finish(i, map(_simulate_chunk, chunks(i)), start)
+        return [agg for agg, _ in done]
+
+    pending = deque(range(len(policies)))
+    running = {}   # policy index -> (its pool, chunk results so far, start time)
+    live = {}      # future of a submitted chunk -> policy index
+    try:
+        while pending or live:
+            while pending and len(running) < slots:
+                i = pending.popleft()
+                pool = ProcessPoolExecutor(max_workers=min(workers, len(spans)),
+                                           mp_context=_FORK)
+                running[i] = pool, [], time.perf_counter()
+                for task in chunks(i):
+                    live[pool.submit(_simulate_chunk, task)] = i
+            finished, _ = wait(live, return_when=FIRST_COMPLETED)
+            for future in finished:
+                i = live.pop(future)
+                pool, results, start = running[i]
+                results.append(future.result())
+                if len(results) == len(spans):
+                    del running[i]
+                    pool.shutdown()
+                    finish(i, results, start)
+    except BaseException:
+        for pool, _, _ in running.values():
+            pool.shutdown(cancel_futures=True)
+        raise
+    return [agg for agg, _ in done]
+
+
+def run_many(env: Environment, policy, horizon: int, runs: int, master_seed: int, *,
+             threads: int = 1,
+             n_checkpoints: int = DEFAULT_CHECKPOINTS) -> AggregateCurve:
+    """Aggregate ``runs`` replications of one (id, params) policy: the
+    one-policy roster of ``run_roster``."""
+    return run_roster(env, [policy], horizon, runs, master_seed, threads=threads,
+                      n_checkpoints=n_checkpoints)[0]
 
 
 def _aggregate(policy_id: str, curves: np.ndarray, ck: np.ndarray) -> AggregateCurve:

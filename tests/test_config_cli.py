@@ -505,6 +505,18 @@ preset = expt1
         assert proc.stderr.count("UserWarning") == 1, proc.stderr
         assert "the regret guarantee does not apply" in proc.stderr
 
+    def test_bad_threads_rejected_before_the_spec_warns(self, tmp_path):
+        # expt1's EUCBV at T=100 would warn while its spec is built
+        env = {k: v for k, v in _src_env().items() if k != "PYTHONWARNINGS"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "eucbv", "run", "--preset", "expt1", "--horizon", "100",
+             "--threads", "0", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == "error: --threads must be >= 1\n"
+        assert not (tmp_path / "out").exists()
+
 
 def _fresh(code: str) -> None:
     """Run ``code`` in a new interpreter that imports the package under test;

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eucbv.config import preset_testbed
+import eucbv.simulator
+from eucbv.cli import main
+from eucbv.config import preset_spec, preset_testbed
 from eucbv.env import make_environment, reward_noise, sample_rewards_batch
 from eucbv.policies import POLICY_IDS, BatchPolicy, make_batch_policy
 from eucbv.policies.kl import KlUcbPlusPolicy, klucb_index
@@ -21,7 +27,10 @@ from eucbv.simulator import (
     chunk_width,
     run_batch,
     run_many,
+    run_roster,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class _FixedArmPolicy(BatchPolicy):
@@ -271,7 +280,7 @@ class TestRunMany:
 
     def test_chunk_width_follows_runs_per_thread(self):
         assert chunk_width(100, 1) == 100 == CHUNK_CAP
-        assert chunk_width(100, 2) == 50 == CHUNK_FLOOR  # expt1 at --threads 2
+        assert chunk_width(100, 2) == 50 == CHUNK_FLOOR  # a lone policy at --threads 2
         assert chunk_width(60, 8) == 50                   # still 2 chunks
         assert chunk_width(7, 1) == 50 and chunk_width(1000, 1) == 100
         assert chunk_width(180, 2) == 90 and chunk_width(180, 3) == 60
@@ -310,3 +319,146 @@ class TestRunMany:
         env = _expt1_env()
         agg = run_many(env, ("ucb1", None), 500, 5, 31)
         assert (np.diff(agg.mean_regret) >= -1e-12).all()
+
+
+def _expt1_roster(runs, horizon):
+    spec = preset_spec("expt1", runs=runs, horizon=horizon)
+    return spec.environment(), list(spec.policies)
+
+
+class _CountingPool(eucbv.simulator.ProcessPoolExecutor):
+    """Stand-in for the simulator's ProcessPoolExecutor that tallies pools
+    and the workers of the pools not yet shut down."""
+
+    sizes = []
+    contexts = []
+    live = 0
+    peak = 0
+
+    def __init__(self, max_workers, **kwargs):
+        super().__init__(max_workers=max_workers, **kwargs)
+        cls = type(self)
+        cls.sizes.append(max_workers)
+        cls.contexts.append(kwargs.get("mp_context"))
+        cls.live += max_workers
+        cls.peak = max(cls.peak, cls.live)
+
+    def shutdown(self, *args, **kwargs):
+        type(self).live -= self._max_workers
+        super().shutdown(*args, **kwargs)
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    pool = type("Pool", (_CountingPool,),
+                {"sizes": [], "contexts": [], "live": 0, "peak": 0})
+    monkeypatch.setattr(eucbv.simulator, "ProcessPoolExecutor", pool)
+    return pool
+
+
+class TestRunRoster:
+    """Policies run side by side on the --threads budget; the aggregates and
+    the progress order are those of one policy at a time."""
+
+    RUNS, HORIZON = 180, 200
+
+    @pytest.fixture(scope="class")
+    def one_at_a_time(self):
+        env, roster = _expt1_roster(self.RUNS, self.HORIZON)
+        return [run_many(env, policy, self.HORIZON, self.RUNS, 12, threads=1,
+                         n_checkpoints=30) for policy in roster]
+
+    # 180 runs need 2 full-width workers per policy: at threads 2 and 3 one
+    # policy runs at a time, at 4 two run side by side on 2 workers each
+    @pytest.mark.parametrize("threads", [1, 2, 3, 4])
+    def test_roster_equals_policy_by_policy(self, one_at_a_time, threads):
+        env, roster = _expt1_roster(self.RUNS, self.HORIZON)
+        aggs = run_roster(env, roster, self.HORIZON, self.RUNS, 12, threads=threads,
+                          n_checkpoints=30)
+        assert [a.policy_id for a in aggs] == [pid for pid, _ in roster]
+        for agg, ref in zip(aggs, one_at_a_time):
+            assert agg.mean_regret.tobytes() == ref.mean_regret.tobytes()
+            assert agg.stderr_regret.tobytes() == ref.stderr_regret.tobytes()
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_one_pool_per_policy_within_the_budget(self, counting_pool, threads):
+        env, roster = _expt1_roster(100, 60)
+        run_roster(env, roster, 60, 100, 3, threads=threads, n_checkpoints=3)
+        # 8 policies: `threads` single-worker pools at a time, 100 lanes each
+        assert counting_pool.sizes == [1] * len(roster)
+        assert counting_pool.peak == threads and counting_pool.live == 0
+        assert {ctx.get_start_method() for ctx in counting_pool.contexts} == {"fork"}
+
+    def test_many_chunks_keep_their_workers(self, counting_pool):
+        # 400 runs are four 100-lane chunks per policy: two 4-worker pools at
+        # a time, not eight single-worker pools running four chunks each
+        env, roster = _expt1_roster(400, 30)
+        run_roster(env, roster, 30, 400, 3, threads=8, n_checkpoints=2)
+        assert counting_pool.sizes == [4] * len(roster) and chunk_width(400, 4) == 100
+        assert counting_pool.peak == 8 and counting_pool.live == 0
+
+    def test_lone_policy_splits_its_runs(self, counting_pool):
+        run_many(_expt1_env(), ("ucb1", None), 60, 100, 3, threads=2, n_checkpoints=3)
+        assert counting_pool.sizes == [2] and chunk_width(100, 2) == 50
+        assert counting_pool.live == 0
+
+    def test_lone_chunk_runs_in_process(self, counting_pool):
+        agg = run_many(_expt1_env(), ("ucb1", None), 60, 20, 3, threads=2,
+                       n_checkpoints=3)
+        ref = run_many(_expt1_env(), ("ucb1", None), 60, 20, 3, threads=1,
+                       n_checkpoints=3)
+        assert counting_pool.sizes == []
+        assert agg.mean_regret.tobytes() == ref.mean_regret.tobytes()
+
+    def test_progress_lines_in_roster_order(self, tmp_path, capsys):
+        # ts-beta's pool outlasts the pools of the fast policies after it;
+        # their lines wait for its line
+        config = tmp_path / "order.ini"
+        config.write_text("[experiment]\nname = order\nhorizon = 1500\nruns = 100\n"
+                          "checkpoints = 3\n\n[environment]\npreset = expt1\n\n"
+                          "[policy.ts-beta]\n\n[policy.ucb1]\n\n[policy.moss]\n\n"
+                          "[policy.ocucb]\n", encoding="utf-8")
+        assert main(["run", "--config", str(config), "--threads", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split()[1] for line in lines] == ["ts-beta:", "ucb1:", "moss:",
+                                                        "ocucb:"]
+
+    def test_failing_chunk_stops_every_pool(self, tmp_path):
+        # ucb1's chunk raises while ts-beta's pool is busy; moss never starts
+        config = tmp_path / "fail.ini"
+        config.write_text("[experiment]\nhorizon = 1000\nruns = 100\ncheckpoints = 3\n\n"
+                          "[environment]\npreset = expt1\n\n[policy.ts-beta]\n\n"
+                          "[policy.ucb1]\n\n[policy.moss]\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = f"""
+import multiprocessing
+import eucbv.simulator as simulator
+from eucbv.cli import main
+
+real_chunk, real_pool = simulator._simulate_chunk, simulator.ProcessPoolExecutor
+pools = []
+
+def failing_chunk(args):
+    if args[1] == "ucb1":
+        raise ValueError("chunk failed")
+    return real_chunk(args)
+
+def counted_pool(**kwargs):
+    pools.append(kwargs)
+    return real_pool(**kwargs)
+
+simulator._simulate_chunk = failing_chunk
+simulator.ProcessPoolExecutor = counted_pool
+assert main(["run", "--config", {str(config)!r}, "--threads", "2",
+             "--out", {str(out)!r}]) == 3
+assert len(pools) == 2, pools
+assert multiprocessing.active_children() == []
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == ["error: chunk failed"]
+        assert not list(out.glob("*.csv"))
