@@ -5,7 +5,9 @@ TS-Beta     Beta(1, 1) prior over {0, 1} rewards; a non-binary reward is
             reward clamped to [0, 1] (binary rewards consume no flip).  The
             Marsaglia-Tsang constants (``rng.gamma_constants``) of each
             lane's 2K shapes [successes + 1 | failures + 1] are kept and
-            refreshed for the pulled arm's two cells; a step's sample is one
+            refreshed for the pulled arm's two cells, looked up in a table
+            over the integer shapes 1..n that doubles as the shapes grow
+            (after step t they are at most t + 1); a step's sample is one
             ``StreamBatch.beta_block`` on them, whose gamma trials after
             the first compute only the rejected cells (about 1% on expt1).
 TS-Gauss    N(0, 1) prior with unit observation noise: after z pulls with
@@ -175,9 +177,11 @@ class TsBetaPolicy(BatchPolicy):
         if rng is None:
             raise ValueError("ts-beta needs a policy random stream")
         self.successes = np.zeros((n_runs, n_arms), dtype=np.float64)
+        # (d, c) of the shapes 1..n, entry n - 1 for shape n
+        self._table = gamma_constants(np.arange(1.0, 65.0))
         # Marsaglia-Tsang constants of the (R, 2K) Beta shapes
         # [successes + 1 | failures + 1], refreshed for the pulled cells
-        self._d, self._c = gamma_constants(np.ones((n_runs, 2 * n_arms)))
+        self._d, self._c = (np.full((n_runs, 2 * n_arms), x[0]) for x in self._table)
 
     def _select(self, t):
         return np.argmax(self.rng.beta_block(self._d, self._c), axis=1)
@@ -195,9 +199,14 @@ class TsBetaPolicy(BatchPolicy):
         # lane r's cell r*K + arm has its a shape at r*2K + arm, b K later
         a_cells = cells + cells // self.n_arms * self.n_arms
         both = np.concatenate([a_cells, a_cells + self.n_arms])
-        d, c = gamma_constants(np.concatenate([successes + 1.0, failures + 1.0]))
-        np.put(self._d, both, d)
-        np.put(self._c, both, c)
+        size = self._table[0].size
+        if t >= size:  # counts <= t, so every shape is at most t + 1
+            while size <= t:
+                size *= 2
+            self._table = gamma_constants(np.arange(1.0, size + 1.0))
+        rows = np.concatenate([successes, failures]).astype(np.intp)  # shape - 1
+        np.put(self._d, both, self._table[0].take(rows))
+        np.put(self._c, both, self._table[1].take(rows))
 
 
 class TsGaussPolicy(BatchPolicy):

@@ -27,11 +27,15 @@ a lane keeps its round m, deadline N_m and active set.  One run is n_runs=1.
 
 Each (lane, arm) cell's upper and lower bound, mean +- radius, is cached
 and kept current: an update refreshes the cells it pulled, and a round reset
-refreshes its lanes' whole rows, since their radius log changed.  Selection
-is one masked argmax over the cached upper bounds, elimination one masked
-max over the lower bounds and one compare.  The refreshed cells evaluate the
-same elementwise expressions as a full (R, K) recompute, so the cache is
-exact by construction.
+refreshes its lanes' whole rows, since their radius log changed.  Both hold
+-inf outside the active set: an eliminated cell is written -inf when it
+falls, and a reset re-masks the rows it refreshes.  Selection is one argmax
+over the upper bounds; elimination is one row max of the lower bounds, one
+compare and one count, and writes the mask and bounds only when an active
+arm falls.  The refreshed cells evaluate the same elementwise expressions as
+a full (R, K) recompute, so the cache is exact by construction.  The earliest
+deadline among the lanes that can still reset is kept as one scalar, so a
+step before it reads no per-lane round state.
 """
 
 from __future__ import annotations
@@ -101,10 +105,16 @@ class EucbvPolicy(BatchPolicy):
         self._log_conf = _clamped_log(psi * horizon * eps ** radius_eps_power)
         self.m = np.zeros(n_runs, dtype=np.int64)     # (R,) round index
         self.deadline = np.full(n_runs, n_arms * self._quotas[0])  # (R,) N_m
-        # Per-cell bounds under the current statistics and rounds; cells
-        # never pulled read nan, as sums/counts would.
+        # Per-cell bounds under the current statistics and rounds, -inf
+        # outside the active set; cells never pulled read nan, as
+        # sums/counts would.
         self._ucb = np.full((n_runs, n_arms), np.nan)
         self._lcb = np.full((n_runs, n_arms), np.nan)
+        # Per lane, the deadline while a reset can still come, else inf
+        # (past the round cap, or found committed when due); and its
+        # minimum, before which no lane is due.
+        self._wait = self.deadline.astype(np.float64)
+        self._due_at = float(self._wait.min())
 
     def _refresh(self, cells: np.ndarray, log_conf: np.ndarray) -> None:
         """Recompute the bounds of the flat cells ``cells`` under the radius
@@ -117,36 +127,54 @@ class EucbvPolicy(BatchPolicy):
     def _select(self, t: int) -> np.ndarray:
         """Per-lane active arm with the highest upper bound (lowest index on
         ties); a committed lane's lone active arm."""
-        return np.argmax(np.where(self.active, self._ucb, -np.inf), axis=1)
+        return np.argmax(self._ucb, axis=1)
 
     def _after_update(self, t: int, cells: np.ndarray, rewards: np.ndarray) -> None:
+        # The pulled cells are active, so their refreshed bounds need no mask.
         self._refresh(cells, self._log_conf[self.m])
         if t <= self.n_arms:
             return  # initialization phase: no elimination, no round resets
         # A lane already committed before this step only pulls; a lane that
-        # becomes a singleton during this step still runs this step's checks.
-        # Every lane keeps at least one arm, so no more active cells than
-        # lanes means every lane is committed.  Liveness is read, before this
-        # step's elimination, only for the lanes due for a round reset.
-        if np.count_nonzero(self.active) == self.n_runs:
-            return
-        due = np.flatnonzero((t >= self.deadline) & (self.m <= self.max_rounds))
-        if due.size:
-            due = due[self._live(due)]
+        # becomes a singleton during this step still runs this step's checks,
+        # so liveness is read before this step's elimination.
+        due = self._due(t) if t >= self._due_at else ()
         self._eliminate()
-        if due.size:
+        if len(due):
             self._advance_round(t, due)
+
+    def _due(self, t: int) -> np.ndarray:
+        """The live lanes due for a round reset at t.  A due lane found
+        committed can never reset again, so it leaves ``_wait``."""
+        due = np.flatnonzero((t >= self.deadline) & (self.m <= self.max_rounds))
+        live = self._live(due)
+        if not live.all():
+            self._wait[due[~live]] = np.inf
+            self._due_at = float(self._wait.min())
+        return due[live]
 
     def _eliminate(self) -> None:
         """Remove the active arms that ``dominated`` names under the cached
-        bounds.  A committed lane's lone arm attains its own best LCB, so
-        committed lanes need no mask: the step leaves them as they are."""
-        self.active &= ~dominated(self.active, self._ucb, self._lcb)
+        bounds.  Every inactive cell is in its mask, so the count says
+        whether an active arm fell.  No more active cells than lanes means
+        every lane is committed, and a committed lane keeps its lone arm."""
+        n_active = np.count_nonzero(self.active)
+        if n_active == self.n_runs:
+            return
+        out = dominated(self._ucb, self._lcb)
+        if np.count_nonzero(out) + n_active > self.active.size:
+            self.active[out] = False
+            self._ucb[out] = -np.inf
+            self._lcb[out] = -np.inf
 
     def _advance_round(self, t: int, rows: np.ndarray) -> None:
         """Round reset for the lanes ``rows`` (ascending), all due: increment
-        m, set N_{m+1} = t + |B| * n_{m+1}, refresh their bounds."""
+        m, set N_{m+1} = t + |B| * n_{m+1}, refresh and re-mask their bounds."""
         self.m[rows] += 1
         self.deadline[rows] = t + self.active[rows].sum(axis=1) * self._quotas[self.m[rows]]
+        self._wait[rows] = np.where(self.m[rows] <= self.max_rounds, self.deadline[rows], np.inf)
+        self._due_at = float(self._wait.min())
         cells = rows[:, None] * self.n_arms + np.arange(self.n_arms)
         self._refresh(cells, self._log_conf[self.m[rows]][:, None])
+        out = cells[~self.active[rows]]
+        np.put(self._ucb, out, -np.inf)
+        np.put(self._lcb, out, -np.inf)

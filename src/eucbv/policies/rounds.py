@@ -150,9 +150,8 @@ class UcbImprovedPolicy(_SweepPolicy):
         if not done.size:
             return
         c = self._widths[self.m[done]][:, None]
-        means = self.stats.sums[done] / counts[done]
-        active = self.active[done]
-        self.active[done] = active & ~dominated(active, means + c, means - c)
+        means = np.where(self.active[done], self.stats.sums[done] / counts[done], -np.inf)
+        self.active[done] = ~dominated(means + c, means - c)
         self._next_round(done)
 
 

@@ -28,10 +28,11 @@ NOISE_BLOCK_STEPS steps, the last one cut at the horizon, and turns one step
 of it at a time into rewards (``sample_rewards_batch``).  Each draw of a
 counter-based stream depends only on (key, j), so the values, and every
 lane's final counter, equal those of per-step draws.  Policies may keep
-per-cell caches (MOSS and OCUCB indices, EUCBV upper and lower bounds,
-TS-Gauss posterior means and sds, TS-Beta's Marsaglia-Tsang constants d and
-c of its 2K Beta shapes); they evaluate the same expressions on the same
-inputs, so they are exact by construction.
+per-cell caches (MOSS and OCUCB indices, EUCBV upper and lower bounds masked
+to -inf outside the active set, UCB-V's mean, 2v and 2z, TS-Gauss posterior
+means and sds, TS-Beta's Marsaglia-Tsang constants d and c of its 2K Beta
+shapes); they evaluate the same expressions on the same inputs, so they are
+exact by construction.
 
 Three policies skip work that cannot change a result.  Selection reads
 only each lane's argmax, and two of them skip the work that cannot change

@@ -3,9 +3,13 @@
 Everything here is deliberately written against mpmath (50-digit precision)
 or plain-Python brute force, never against the library's own float paths, so
 an implementation bug cannot cancel out of both sides of an assertion.  The
-one exception is the per-run round-policy references at the end (DMED,
-UCB-Improved, Median Elimination): they share only ``kl_bernoulli`` with the
-library, so the lane-vectorized policies can be checked pull for pull.  The
+exceptions are the policy references at the end.  The per-run round-policy
+references (DMED, UCB-Improved, Median Elimination) share only
+``kl_bernoulli`` with the library, so the lane-vectorized policies can be
+checked pull for pull.  The batched EUCBV and UCB-V references recompute
+every cell from ``PullStats`` each step, with no per-cell cache, mask or
+deadline scalar; EUCBV's shares the policy's constructor and round tables,
+so the two can be checked step for step and bit for bit.  The
 scalar stream (``mix64``, ``derive_key``, ``RngStream``) shares nothing with
 the library: it hashes and draws one Python-int value at a time, so
 ``StreamBatch``'s array finalizer, key derivation and draws can be checked
@@ -20,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpf
 
+from eucbv.policies import BatchPolicy, EucbvPolicy, confidence_radius as _radius
 from eucbv.policies.kl import kl_bernoulli as _kl_bernoulli
 
 mp.dps = 50
@@ -429,3 +434,46 @@ class MedianElimPolicy(_ScalarPolicy):
 
     def survivor(self):
         return self.surviving[0] if len(self.surviving) == 1 else None
+
+
+# Batched references with no per-cell state: every step recomputes all
+# R x K cells from the sums, counts and square sums.
+
+class UnmaskedEucbv(EucbvPolicy):
+    """EUCBV scoring every cell afresh each step: selection and elimination
+    mask the bounds with ``np.where(active, ., -inf)``, and every step reads
+    every lane's deadline, round and liveness."""
+
+    def _bounds(self):
+        stats = self.stats
+        means = stats.means()
+        radius = _radius(stats.variances(means), stats.counts,
+                         self._log_conf[self.m][:, None], self.rho)
+        return means + radius, means - radius
+
+    def _select(self, t):
+        upper, _ = self._bounds()
+        return np.argmax(np.where(self.active, upper, -np.inf), axis=1)
+
+    def _after_update(self, t, cells, rewards):
+        if t <= self.n_arms:
+            return
+        live = self.active.sum(axis=1) > 1
+        due = np.flatnonzero((t >= self.deadline) & (self.m <= self.max_rounds) & live)
+        upper, lower = self._bounds()
+        best = np.where(self.active, lower, -np.inf).max(axis=1)
+        self.active &= ~(upper < best[:, None])
+        self.m[due] += 1
+        self.deadline[due] = t + self.active[due].sum(axis=1) * self._quotas[self.m[due]]
+
+
+class RecomputeUcbv(BatchPolicy):
+    """UCB-V's mean + sqrt(2 v ln t / z) + 3 ln t / (2 z) as one numpy
+    expression over all cells each step."""
+
+    def _select(self, t):
+        stats = self.stats
+        means = stats.means()
+        variances, pulls, log_t = stats.variances(means), stats.counts, math.log(t)
+        scores = means + np.sqrt(2.0 * variances * log_t / pulls) + 3.0 * log_t / (2.0 * pulls)
+        return np.argmax(scores, axis=1)

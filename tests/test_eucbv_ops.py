@@ -29,6 +29,15 @@ def _set_arm(policy, arm, pulls, mean, v_hat, lane=0):
     policy._refresh(np.array([lane * policy.n_arms + arm]), policy._log_conf[policy.m[lane]])
 
 
+def _deactivate(policy, arms, lane=0):
+    """Clear ``arms`` from the lane's active set as an elimination would:
+    the mask together with the cells' cached bounds, which read -inf."""
+    cells = lane * policy.n_arms + np.asarray(arms)
+    policy.active[lane, arms] = False
+    np.put(policy._ucb, cells, -np.inf)
+    np.put(policy._lcb, cells, -np.inf)
+
+
 def _set_all(policy, pulls=9, mean=0.5, v_hat=0.1):
     """The same statistics in every cell, so every cached bound is finite."""
     for lane in range(policy.n_runs):
@@ -128,8 +137,7 @@ class TestSelect:
         policy = _policy(8, 1000)
         for arm in range(8):
             _set_arm(policy, arm, 1, 0.5, 0.0)
-        policy.active[0, :] = False
-        policy.active[0, 5] = True
+        _deactivate(policy, [0, 1, 2, 3, 4, 6, 7])
         assert _select(policy) == 5
 
     def test_wide_interval_beats_higher_mean(self):
@@ -148,7 +156,7 @@ class TestSelect:
         _set_arm(policy, 0, 50, 0.9, 0.0)
         _set_arm(policy, 1, 50, 0.5, 0.0)
         _set_arm(policy, 2, 50, 0.4, 0.0)
-        policy.active[0, 0] = False
+        _deactivate(policy, [0])
         assert _select(policy) == 1
 
 
@@ -157,7 +165,7 @@ class TestEliminate:
         policy = _policy(2, 100)
         _set_arm(policy, 0, 5, 0.9, 0.0)
         _set_arm(policy, 1, 5, 0.1, 0.0)
-        policy.active[0, 1] = False
+        _deactivate(policy, [1])
         policy._eliminate()
         assert policy.active[0].tolist() == [True, False]
 
@@ -178,6 +186,9 @@ class TestEliminate:
         _set_arm(policy, 1, 4, 0.1, 0.0)
         policy._eliminate()
         assert policy.active[0].tolist() == [True, False]
+        # the fallen arm's bounds are masked, the survivor's kept
+        assert policy._ucb[0, 0] == pytest.approx(0.95) and policy._ucb[0, 1] == -np.inf
+        assert policy._lcb[0, 0] == pytest.approx(0.85) and policy._lcb[0, 1] == -np.inf
 
     def test_best_lcb_arm_never_removed(self):
         rng = np.random.default_rng(3)
@@ -243,7 +254,7 @@ class TestAdvanceRound:
         for lane in range(2):
             for arm in range(20):
                 _set_arm(policy, arm, 9, 0.5, 0.1, lane)
-        policy.active[0, 1:] = False
+        _deactivate(policy, list(range(1, 20)))
         policy._after_update(180, np.array([0, 20]), None)  # both lanes' arm 0
         assert policy.m.tolist() == [0, 1]
         assert policy.deadline.tolist() == [180, 180 + 20 * 15]

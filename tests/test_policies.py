@@ -300,19 +300,31 @@ def _fresh_radius(policy):
                              policy._log_conf[policy.m][:, None], policy.rho)
 
 
-def _fresh_index(pid, policy):
-    """The policy's index recomputed from its PullStats, no cache involved."""
+def _fresh_index(pid, policy, t):
+    """The policy's index at t recomputed from its PullStats, no cache
+    involved; EUCBV's upper bound reads -inf outside the active set."""
     stats = policy.stats
     if pid == "eucbv":
-        return stats.means() + _fresh_radius(policy)
+        return np.where(policy.active, stats.means() + _fresh_radius(policy), -np.inf)
+    if pid == "ucbv":
+        return ucbv_index(stats.means(), stats.variances(), stats.counts, t)
     if pid == "moss":
         return moss_index(stats.means(), stats.counts, policy.horizon, policy.n_arms)
     return ocucb_index(stats.means(), stats.counts, policy.horizon)
 
 
 def _cached_index(pid, policy):
-    """The index the next selection reads from the cache."""
+    """The index the selection read from the cache (UCB-V's, the buffer its
+    selection evaluated)."""
     return policy._ucb if pid == "eucbv" else policy._index
+
+
+def _assert_fresh_ucbv_terms(policy):
+    """UCB-V's per-cell mean, 2v and 2z equal fresh ones bit for bit."""
+    stats = policy.stats
+    assert np.array_equal(policy._mean, stats.means())
+    assert np.array_equal(policy._two_v, 2.0 * stats.variances())
+    assert np.array_equal(policy._two_z, 2.0 * stats.counts)
 
 
 def _fresh_posterior_sample(policy):
@@ -330,11 +342,11 @@ def _fresh_posterior_sample(policy):
 
 
 class TestCachedIndices:
-    """EUCBV's per-cell bounds, the MOSS/OCUCB per-cell indices and the
-    TS-Gauss posteriors equal fresh ones bit for bit and choose what they
-    would, at every step."""
+    """EUCBV's masked per-cell bounds, UCB-V's per-cell terms, the MOSS/OCUCB
+    per-cell indices and the TS-Gauss posteriors equal fresh ones bit for bit
+    and choose what they would, at every step."""
 
-    @pytest.mark.parametrize("pid", ["eucbv", "moss", "ocucb", "ts-gauss"])
+    @pytest.mark.parametrize("pid", ["eucbv", "ucbv", "moss", "ocucb", "ts-gauss"])
     def test_choice_is_argmax_of_fresh_index(self, pid):
         env = make_environment("gaussian", [0.1, 0.3, 0.5, 0.55, 0.9], [0.04] * 5)
         horizon, lanes = 2000, 3
@@ -349,12 +361,13 @@ class TestCachedIndices:
                 assert np.array_equal(arms, sampled)
                 assert np.array_equal(rng.counters, counters)
             elif t > env.n_arms:
-                fresh = _fresh_index(pid, policy)
+                fresh = _fresh_index(pid, policy, t)
                 assert np.array_equal(_cached_index(pid, policy), fresh)
                 if pid == "eucbv":
                     lcb = policy.stats.means() - _fresh_radius(policy)
-                    assert np.array_equal(policy._lcb, lcb)
-                    fresh = np.where(policy.active, fresh, -np.inf)
+                    assert np.array_equal(policy._lcb, np.where(policy.active, lcb, -np.inf))
+                if pid == "ucbv":
+                    _assert_fresh_ucbv_terms(policy)
                 assert np.array_equal(arms, np.argmax(fresh, axis=1))
             noise = reward_noise(env, streams, 1)[:, 0]
             policy.update(t, arms, sample_rewards_batch(env, arms, noise))
@@ -455,6 +468,21 @@ class TestTsBetaSampler:
                 np.concatenate([s + 1.0, policy.stats.counts - s + 1.0], axis=1))
             assert np.array_equal(policy._d, d)
             assert np.array_equal(policy._c, c)
+
+    def test_shape_table_equals_fresh_constants(self):
+        # Every reward is 1, so the pulled arm's a shape climbs to its count
+        # + 1; the table doubles as t passes its size, never sized by T.
+        horizon = 2000
+        policy = make_batch_policy("ts-beta", 1, 2, horizon, rng=_rng(4))
+        sizes = {policy._table[0].size}
+        for t in range(1, horizon + 1):
+            policy.update(t, policy.select(t), np.ones(1))
+            sizes.add(policy._table[0].size)
+        assert sizes == {64, 128, 256, 512, 1024, 2048}
+        assert policy.successes.max() > 1000
+        d, c = gamma_constants(np.arange(1.0, horizon + 2.0))
+        assert np.array_equal(policy._table[0][:horizon + 1], d)
+        assert np.array_equal(policy._table[1][:horizon + 1], c)
 
 
 def _replay_against_reference(pid, refs, means, horizon, params=None, seed=29):

@@ -271,14 +271,53 @@ def test_dominated_keeps_the_best_lower_bound(seed, n_lanes, n_arms):
     upper = lower + rng.integers(0, 3, size=(n_lanes, n_arms)) / 4.0
     active = rng.random((n_lanes, n_arms)) < 0.7
     active[np.arange(n_lanes), rng.integers(0, n_arms, size=n_lanes)] = True
-    mask = dominated(active, upper, lower)
+    mask = dominated(np.where(active, upper, -np.inf), np.where(active, lower, -np.inf))
     assert (active & ~mask).any(axis=1).all()
+    assert mask[~active].all()  # an inactive cell stays out
     best = np.argmax(np.where(active, lower, -np.inf), axis=1)
     assert not mask[np.arange(n_lanes), best].any()
     for r in range(n_lanes):
         best_lower = max(lower[r, j] for j in range(n_arms) if active[r, j])
-        assert mask[r].tolist() == [bool(active[r, i] and upper[r, i] < best_lower)
+        assert mask[r].tolist() == [bool(not active[r, i] or upper[r, i] < best_lower)
                                     for i in range(n_arms)]
+
+
+def _fresh_masked_bounds(policy):
+    """EUCBV's bounds recomputed from its PullStats and rounds, -inf
+    outside the active set."""
+    stats = policy.stats
+    means = stats.means()
+    radius = confidence_radius(stats.variances(means), stats.counts,
+                               policy._log_conf[policy.m][:, None], policy.rho)
+    return [np.where(policy.active, b, -np.inf) for b in (means + radius, means - radius)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=3))
+def test_eucbv_masked_bounds_stay_fresh(seed, n_lanes, n_arms, resets):
+    # Random updates, with ``resets`` extra round resets of random lanes
+    # injected per 10 steps, keep both bounds equal to a fresh masked
+    # recompute; far-apart arm means make lanes eliminate and commit.
+    rng = np.random.default_rng(seed)
+    horizon = 300
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        policy = EucbvPolicy(n_lanes, n_arms, horizon, psi=float(rng.uniform(0.05, 2.0)))
+    means = rng.random((n_lanes, n_arms)).round(1)
+    for t in range(1, horizon + 1):
+        arms = policy.select(t)
+        lanes = np.arange(n_lanes)
+        rewards = means[lanes, arms] + 0.1 * rng.standard_normal(n_lanes)
+        policy.update(t, arms, rewards)
+        if t > n_arms and t % 10 < resets:
+            rows = np.flatnonzero((rng.random(n_lanes) < 0.5) & (policy.m <= policy.max_rounds))
+            policy._advance_round(t, rows)
+        if t >= n_arms:
+            upper, lower = _fresh_masked_bounds(policy)
+            assert np.array_equal(policy._ucb, upper)
+            assert np.array_equal(policy._lcb, lower)
+            assert policy.active.any(axis=1).all()
 
 @_SETTINGS
 @given(

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import eucbv.simulator
+import oracles
 from eucbv.cli import main
 from eucbv.config import preset_spec, preset_testbed
 from eucbv.env import make_environment, reward_noise, sample_rewards_batch
@@ -215,6 +216,25 @@ class TestGaussBayesUcb:
         want = _run(env, _ScipyGaussBayesUcb(runs, env.n_arms, horizon), horizon, seed, lanes)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
+
+
+class TestVarianceAwareCaches:
+    @pytest.mark.parametrize("runs", [1, 50, 100])
+    @pytest.mark.parametrize("pid,reference", [("eucbv", oracles.UnmaskedEucbv),
+                                               ("ucbv", oracles.RecomputeUcbv)])
+    def test_trajectory_equals_recompute_reference(self, pid, reference, runs):
+        # EUCBV's masked bounds and deadline scalar, and UCB-V's per-cell
+        # terms, must give the pulls, per-step regret and survivors of
+        # recomputing every cell at every step.
+        env, horizon, seed = preset_testbed("expt3")[0], 2000, 1
+        lanes = range(runs)
+        ref = reference(runs, env.n_arms, horizon)
+        got = _run(env, _policy(pid, lanes, env.n_arms, horizon, seed), horizon, seed, lanes)
+        want = _run(env, ref, horizon, seed, lanes)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        if pid == "eucbv":  # every lane reset rounds and eliminated arms
+            assert (ref.m > 0).all() and (ref.active.sum(axis=1) < env.n_arms).all()
 
 
 class TestBlockNoise:
