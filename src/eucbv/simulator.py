@@ -21,7 +21,11 @@ time with one 100-lane chunk each; with 400 runs at N = 8, two 4-worker
 pools with four 100-lane chunks each.  A lone policy splits its 100 runs at
 N = 2 into two 50-lane chunks.  The per-call cost of numpy makes the wide
 chunk the cheaper one per lane-step.  When no two chunks could run at once
-(one slot, one chunk) everything runs in this process.
+(one slot, one chunk) everything runs in this process.  A chunk that holds
+all of a policy's runs returns the policy's aggregate, computed where the
+curves are, so a pool worker sends back three checkpoint rows, not a
+(runs, C) array; otherwise the chunks' curves are merged by run index and
+aggregated here, the same reduction over the same array.
 
 run_batch draws each lane's reward noise (``reward_noise``) in blocks of
 NOISE_BLOCK_STEPS steps, the last one cut at the horizon, and turns one step
@@ -39,10 +43,12 @@ only each lane's argmax, and two of them skip the work that cannot change
 it.  TS-Gauss draws its K posterior samples per lane with
 ``StreamBatch.normal_argmax``: every lane's policy counter advances by 2K as
 a full normal block would, but only the samples that can be the lane's
-maximum are computed.  KL-UCB+ selects with ``klucb_argmax``: it bisects
-only the cells whose bracket can still reach the lane's best, folds cells
-whose bisection state repeats a lower column's, and stops once every lane
-has one cell left.  Both choices are those of the full computation, ties
+maximum are computed.  KL-UCB+ selects with ``klucb_argmax``: it bounds
+every cell's index from a few Newton steps, certified against the
+bisection's own float test, and bisects only the cells whose upper bound
+reaches the lane's best lower bound, folding cells whose bisection state
+repeats a lower column's, until every lane has one cell left; most steps
+bisect nothing.  Both choices are those of the full computation, ties
 included, and both read only the lane's own row.  TS-Beta computes every
 sample, but a cell that has accepted needs none of its later trials: after
 the first Marsaglia-Tsang trial, ``StreamBatch.gamma_block`` computes only
@@ -143,13 +149,17 @@ def chunk_width(runs: int, threads: int) -> int:
 
 
 def _simulate_chunk(args):
-    env, policy_id, params, horizon, master_seed, lo, hi, ck = args
+    """Runs lo..hi-1 of one policy: (lo, their (R, C) curves), or (lo, the
+    policy's aggregate) when the chunk holds all ``runs`` of them."""
+    env, policy_id, params, horizon, master_seed, lo, hi, ck, runs = args
     run_indices = range(lo, hi)
     reward_streams = StreamBatch.for_runs(master_seed, run_indices, DOMAIN_REWARDS)
     policy_streams = StreamBatch.for_runs(master_seed, run_indices, DOMAIN_POLICY)
     policy = make_batch_policy(policy_id, hi - lo, env.n_arms, horizon,
                                params, rng=policy_streams)
-    return lo, run_batch(env, policy, horizon, reward_streams, ck)[0]
+    curves = run_batch(env, policy, horizon, reward_streams, ck)[0]
+    del policy   # free its state before the aggregate's temporaries
+    return lo, _aggregate(policy_id, curves, ck) if hi - lo == runs else curves
 
 
 def run_roster(env: Environment, policies, horizon: int, runs: int, master_seed: int, *,
@@ -187,15 +197,19 @@ def run_roster(env: Environment, policies, horizon: int, runs: int, master_seed:
 
     def chunks(i):
         policy_id, params = policies[i]
-        return [(env, policy_id, params, horizon, master_seed, lo, hi, ck)
+        return [(env, policy_id, params, horizon, master_seed, lo, hi, ck, runs)
                 for lo, hi in spans]
 
     def finish(i, results, start):
         nonlocal reported
-        curves = np.empty((runs, len(ck)), dtype=np.float64)
-        for lo, chunk_curves in results:
-            curves[lo:lo + chunk_curves.shape[0]] = chunk_curves
-        done[i] = _aggregate(policies[i][0], curves, ck), time.perf_counter() - start
+        if len(spans) == 1:   # the chunk aggregated its runs itself
+            [(_, aggregate)] = results
+        else:
+            curves = np.empty((runs, len(ck)), dtype=np.float64)
+            for lo, chunk_curves in results:
+                curves[lo:lo + chunk_curves.shape[0]] = chunk_curves
+            aggregate = _aggregate(policies[i][0], curves, ck)
+        done[i] = aggregate, time.perf_counter() - start
         while reported < len(done) and done[reported] is not None:
             if progress is not None:
                 progress(*done[reported])

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from eucbv.env import make_environment, reward_noise, sample_rewards_batch
-from eucbv.policies import make_batch_policy
+from eucbv.policies import kl, make_batch_policy
 from eucbv.policies.base import dominated
 from eucbv.policies.eucbv import EucbvPolicy, confidence_radius
 from eucbv.policies.kl import kl_bernoulli, klucb_argmax, klucb_index
@@ -169,6 +169,79 @@ def test_klucb_argmax_equals_full_index_argmax(state):
     means, pulls, t = state
     want = np.argmax(klucb_index(means, pulls, t), axis=1)
     assert np.array_equal(klucb_argmax(means, pulls, t), want)
+
+
+def _assert_bounds_bracket_index(means, pulls, t):
+    """klucb_argmax's certified bounds hold: lower <= klucb_index < upper."""
+    lower, upper = kl._bounds(kl._bracket(means, pulls, t))
+    index = klucb_index(means, pulls, t).reshape(-1)
+    assert np.all(lower <= index), (lower - index)[lower > index]
+    assert np.all(index < upper), (index - upper)[index >= upper]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_klucb_states())
+def test_klucb_certified_bounds_bracket_full_index(state):
+    _assert_bounds_bracket_index(*state)
+
+
+def test_klucb_certified_bounds_at_the_edges():
+    # Means at and beside the clamps, z = 1, z >= t (no allowance, the
+    # index is the mean), brackets topped at 1 (few pulls, long horizon),
+    # and tiny means with many pulls, whose bracket is hundreds of times
+    # wider than index - mean, so the lower bound rests on the final width.
+    means = np.array([0.0, 1e-15, 1e-9, 1e-6, 0.07, 0.5, 1.0 - 1e-15, 1.0])
+    tops = no_allowance = 0
+    for t in (1, 2, 3, 10, 2000, 10 ** 6, 10 ** 7):
+        pulls = np.array(sorted({1, 2, max(t - 1, 1), t, t + 1, 10 ** 4, 3 * 10 ** 4,
+                                 10 ** 5, 10 ** 6}), dtype=np.float64)
+        grid_means, grid_pulls = (a.reshape(1, -1) for a in np.meshgrid(means, pulls))
+        _assert_bounds_bracket_index(grid_means, grid_pulls, t)
+        m, comp, target, lo, width = kl._bracket(grid_means, grid_pulls, t)
+        # the bracket's start passes the halvings' own test
+        assert np.all(kl._log_sum(m, m, comp, np.empty_like(m), np.empty_like(m)) >= target)
+        tops += int(np.sum(lo + width == 1.0))
+        no_allowance += int(np.sum(width == 0.0))
+    assert tops and no_allowance
+
+
+def _count_halvings(monkeypatch):
+    """The list of n of every ``_halve`` call made from here on."""
+    calls = []
+    halve = kl._halve
+
+    def counted(state, n):
+        calls.append(n)
+        halve(state, n)
+
+    monkeypatch.setattr(kl, "_halve", counted)
+    return calls
+
+
+def test_klucb_argmax_bisects_a_near_tie(monkeypatch):
+    # Arm 2's index is within about 1e-9 of arm 1's, far inside the bounds'
+    # nudge of 2**-24 * (index - mean): only bisection can order them.
+    t = 2000
+    q = float(klucb_index(0.1, 300, t)) + 1e-9
+    means = np.array([[0.02, 0.1, _mean_with_index(q, 500, t)]])
+    pulls = np.array([[1000.0, 300.0, 500.0]])
+    want = np.argmax(klucb_index(means, pulls, t), axis=1)
+    halvings = _count_halvings(monkeypatch)
+    assert np.array_equal(klucb_argmax(means, pulls, t), want)
+    assert halvings
+
+
+def test_klucb_argmax_decides_separated_and_repeated_lanes_unbisected(monkeypatch):
+    # Lane 0's two best indices are 1e-6 apart, which the bounds resolve
+    # but neither the mean nor the bracket's top does; lane 1's two best
+    # arms are the same cell state, which folds to the lower column.
+    t = 1000
+    q = float(klucb_index(0.3, 100, t)) - 1e-6
+    means = np.array([[0.1, 0.3, _mean_with_index(q, 100, t)], [0.1, 0.3, 0.3]])
+    pulls = np.full((2, 3), 100.0)
+    halvings = _count_halvings(monkeypatch)
+    assert klucb_argmax(means, pulls, t).tolist() == [1, 1]
+    assert not halvings
 
 
 @_SETTINGS

@@ -192,6 +192,47 @@ class TestKlUcbEarlyExit:
         assert np.array_equal(got[1], want[1])
 
 
+_DISPATCH_CHECK = """
+import numpy as np
+from eucbv.env import make_environment
+from eucbv.policies.kl import KlUcbPlusPolicy, _bounds, _bracket, klucb_argmax, klucb_index
+from eucbv.rng import DOMAIN_REWARDS, StreamBatch
+from eucbv.simulator import checkpoint_times, run_batch
+
+class Checked(KlUcbPlusPolicy):
+    def _select(self, t):
+        means, pulls = self.stats.means(), self.stats.counts
+        index = klucb_index(means, pulls, t)
+        lower, upper = _bounds(_bracket(means, pulls, t))
+        assert np.all(lower <= index.reshape(-1)) and np.all(index.reshape(-1) < upper), t
+        choice = klucb_argmax(means, pulls, t)
+        assert np.array_equal(choice, np.argmax(index, axis=1)), t
+        return choice
+
+env = make_environment("bernoulli", [0.07] * 19 + [0.1])
+runs, horizon = 100, 1000
+run_batch(env, Checked(runs, env.n_arms, horizon), horizon,
+          StreamBatch.for_runs(1, range(runs), DOMAIN_REWARDS), checkpoint_times(horizon))
+"""
+
+
+class TestKlUcbDispatch:
+    def test_early_exit_exact_without_avx512_dispatch(self):
+        # Turning AVX-512 dispatch off changes the rounding of numpy's log
+        # and log1p; the certified bounds assume only a relative error far
+        # above an ulp, so every expt1 choice must still be the full index's.
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+               "PYTHONPATH": os.pathsep.join(
+                   [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        probe = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True,
+                               text=True, env=env, timeout=60)
+        if probe.returncode != 0:
+            pytest.skip(f"numpy rejects NPY_DISABLE_CPU_FEATURES: {probe.stderr.strip()}")
+        proc = subprocess.run([sys.executable, "-c", _DISPATCH_CHECK], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+
 class _ScipyGaussBayesUcb(BatchPolicy):
     """Gauss-prior Bayes-UCB scoring the raw sums and counts every step,
     with ``scipy.special.ndtri`` for the normal quantile."""
@@ -297,6 +338,17 @@ class TestRunMany:
         parallel = run_many(env, ("moss", None), 600, 120, 11, threads=2)
         assert np.array_equal(serial.mean_regret, parallel.mean_regret)
         assert np.array_equal(serial.stderr_regret, parallel.stderr_regret)
+
+    def test_whole_run_chunk_aggregates_like_merged_chunks(self):
+        # threads=1: one 100-lane chunk aggregates its runs in the worker;
+        # threads=2: two 50-lane chunks are merged and aggregated here
+        assert chunk_width(100, 1) == 100 and chunk_width(100, 2) == 50
+        env = _expt1_env()
+        whole, merged = (run_many(env, ("ucb1", None), 300, 100, 4, threads=threads)
+                         for threads in (1, 2))
+        assert whole.run_count == merged.run_count == 100
+        for field in ("checkpoint_ts", "mean_regret", "stderr_regret"):
+            assert getattr(whole, field).tobytes() == getattr(merged, field).tobytes()
 
     def test_chunk_width_follows_runs_per_thread(self):
         assert chunk_width(100, 1) == 100 == CHUNK_CAP
